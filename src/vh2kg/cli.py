@@ -20,17 +20,16 @@ import numpy as np
 from . import analytics, risk
 from .cluster import KMeansConfig, kmeans
 from .errors import VH2KGError
-from .fixtures import load_scripts_dir
 from .home import (filter_affordances, load_environment_file,
                    load_property_table, read_affordance_csv)
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, evaluate_findings, run_pipeline
 from .rdf import parse_ntriples, graph_stats, serialize_ntriples, serialize_turtle
 from .scripts import parse_script, serialize_script, validate_vocabulary
 from .simulate import DurationModel, check_executable, run_script, trace_to_json
 from .skipgram import (SkipGramConfig, cosine_neighbors, export_vectors,
                        parse_vectors, train_skipgram)
 from .synth import ActivityMeta, build_activity_kg
-from .walks import WalkConfig, wl_relabel
+from .walks import WalkConfig, activity_roots, wl_relabel
 
 log = logging.getLogger("vh2kg")
 
@@ -193,9 +192,9 @@ def cmd_neighbors(args):
 
 def cmd_cluster(args):
     tokens, matrix = parse_vectors(Path(args.vectors).read_text())
-    if args.roots_only:
-        keep = [i for i, t in enumerate(tokens) if "hasEvent" not in t
-                and "/instance/" in t and "_scene" in t and "event" not in t.rsplit("/", 1)[-1][:5]]
+    if args.roots:
+        roots = set(activity_roots(_read_graph(args.roots)))
+        keep = [i for i, t in enumerate(tokens) if t in roots]
         tokens = [tokens[i] for i in keep]
         matrix = matrix[keep]
     cfg = KMeansConfig(k=args.k, seed=args.seed)
@@ -226,11 +225,7 @@ def cmd_evaluate(args):
     doc = _read_graph(args.graph)
     findings = risk.findings_from_json(Path(args.findings).read_text())
     truth = analytics.read_ground_truth(args.ground_truth)
-    cm = analytics.confusion(findings, truth, analytics.all_event_iris(doc))
-    precision, recall, f1 = analytics.prf1(cm)
-    json.dump({"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn,
-               "precision": precision, "recall": recall, "f1": f1},
-              sys.stdout, indent=2)
+    json.dump(evaluate_findings(findings, truth, doc), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
 
@@ -253,9 +248,6 @@ def cmd_pipeline(args):
         overrides["output_dir"] = args.output
     if args.seed is not None:
         overrides["seed"] = args.seed
-        overrides["walk"] = replace(cfg.walk, seed=args.seed)
-        overrides["skipgram"] = replace(cfg.skipgram, seed=args.seed)
-        overrides["kmeans"] = replace(cfg.kmeans, seed=args.seed)
     if args.repair:
         overrides["mode"] = "repair"
     cfg = replace(cfg, **overrides)
@@ -357,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vectors")
     p.add_argument("-k", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--roots-only", action="store_true",
-                   help="cluster only activity instance tokens")
+    p.add_argument("--roots", metavar="GRAPH",
+                   help="cluster only the activity roots of this N-Triples graph")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("analyze", help="aggregate queries over a graph")

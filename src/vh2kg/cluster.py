@@ -47,23 +47,7 @@ def _init_centroids(points: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
 def kmeans(points: np.ndarray, cfg: KMeansConfig = KMeansConfig()):
     """Returns (assignments, centroids, inertia); ties go to the lowest
     centroid index and inertia never increases across iterations."""
-    points = np.asarray(points, dtype=float)
-    if cfg.k > len(points):
-        raise TooFewPoints(f"k={cfg.k} exceeds {len(points)} points")
-    centroids = _init_centroids(points, cfg)
-    assignments = None
-    for _ in range(cfg.max_iters):
-        d2 = _sq_dists(points, centroids)
-        new_assignments = d2.argmin(axis=1)  # argmin takes the lowest index on ties
-        if assignments is not None and np.array_equal(new_assignments, assignments):
-            break
-        assignments = new_assignments
-        for c in range(cfg.k):
-            members = points[assignments == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-    inertia = float(_sq_dists(points, centroids)[np.arange(len(points)), assignments].sum())
-    return assignments, centroids, inertia
+    return kmeans_history(points, cfg)[:3]
 
 
 def kmeans_history(points: np.ndarray, cfg: KMeansConfig = KMeansConfig()):
@@ -76,7 +60,7 @@ def kmeans_history(points: np.ndarray, cfg: KMeansConfig = KMeansConfig()):
     history = []
     for _ in range(cfg.max_iters):
         d2 = _sq_dists(points, centroids)
-        new_assignments = d2.argmin(axis=1)
+        new_assignments = d2.argmin(axis=1)  # argmin takes the lowest index on ties
         history.append(float(d2[np.arange(len(points)), new_assignments].sum()))
         if assignments is not None and np.array_equal(new_assignments, assignments):
             break

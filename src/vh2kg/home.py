@@ -10,17 +10,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (DanglingEdge, DuplicateId, NoAgent, Orphan,
                      ScoreOutOfRange, UnknownProperty)
 
 RELATIONS = frozenset({"INSIDE", "ON", "CLOSE", "FACING", "HOLDS_RH", "HOLDS_LH"})
-
-STATE_SEED = frozenset({
-    "ON", "OFF", "OPEN", "CLOSED", "CLEAN", "DIRTY",
-    "PLUGGED_IN", "PLUGGED_OUT", "SITTING", "STANDING", "LYING",
-})
 
 # Property token -> (kind, afforded verbs).  Kind "Affordance" tokens grant
 # actions; "Attribute" tokens are descriptive only.  Editable via

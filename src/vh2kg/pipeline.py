@@ -8,6 +8,7 @@ deterministic under a single seed.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -17,8 +18,8 @@ from .home import EnvironmentGraph
 from .rdf import KgDocument, graph_stats, serialize_ntriples, serialize_turtle
 from .scripts import ActivityScript
 from .simulate import DurationModel, SimConfig, Trace, run_script
-from .skipgram import SkipGramConfig, cosine_neighbors, export_vectors, train_skipgram
-from .synth import ActivityMeta, build_activity_kg, snake_case
+from .skipgram import SkipGramConfig, export_vectors, train_skipgram
+from .synth import ActivityMeta, IriFactory, build_activity_kg, snake_case
 from .walks import WalkConfig, wl_relabel
 
 
@@ -63,11 +64,7 @@ class PipelineConfig:
             cfg = replace(cfg, skipgram=SkipGramConfig(**raw["skipgram"]))
         if "kmeans" in raw:
             cfg = replace(cfg, kmeans=KMeansConfig(**raw["kmeans"]))
-        seed = cfg.seed
-        return replace(cfg,
-                       walk=replace(cfg.walk, seed=seed),
-                       skipgram=replace(cfg.skipgram, seed=seed),
-                       kmeans=replace(cfg.kmeans, seed=seed))
+        return cfg
 
 
 def simulate_corpus(scripts: list[ActivityScript], env: EnvironmentGraph,
@@ -75,20 +72,19 @@ def simulate_corpus(scripts: list[ActivityScript], env: EnvironmentGraph,
                     sim: SimConfig = SimConfig(), affordance_table=None,
                     property_table=None, scene_id: str = "scene1",
                     ) -> list[tuple[Trace, ActivityMeta]]:
+    """Simulate every script; scripts whose names share a slug get activity
+    indices 0, 1, ... in script order, so their IRIs never collide."""
     results = []
+    seen = Counter()
     for script in scripts:
+        slug = snake_case(script.name)
         trace = run_script(script, env, dm, mode, sim, affordance_table, property_table)
         meta = ActivityMeta(name=script.name, category=script.category,
-                            description=script.description, scene_id=scene_id)
+                            description=script.description, scene_id=scene_id,
+                            index=seen[slug])
+        seen[slug] += 1
         results.append((trace, meta))
     return results
-
-
-def build_corpus_kg(runs, affordance_table=None, property_table=None) -> KgDocument:
-    doc = KgDocument()
-    for trace, meta in runs:
-        build_activity_kg(trace, meta, affordance_table, property_table, doc=doc)
-    return doc
 
 
 def evaluate_findings(findings, ground_truth, doc: KgDocument):
@@ -113,9 +109,14 @@ def analysis_report(doc: KgDocument) -> dict:
 def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
                  affordance_table=None, property_table=None,
                  ground_truth=None, log=lambda msg: None) -> dict:
-    """Full corpus run; returns a manifest of written artifact paths."""
+    """Full corpus run; returns a manifest of written artifact paths.
+
+    ``cfg.seed`` overrides the walk, skip-gram and k-means seeds."""
     from .fixtures import load_scripts_dir
 
+    cfg = replace(cfg, walk=replace(cfg.walk, seed=cfg.seed),
+                  skipgram=replace(cfg.skipgram, seed=cfg.seed),
+                  kmeans=replace(cfg.kmeans, seed=cfg.seed))
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if scripts is None:
@@ -137,10 +138,10 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
         activity_doc = build_activity_kg(trace, meta, affordance_table,
                                          property_table)
         doc.update(activity_doc)
-        slug = f"{snake_case(meta.name)}{meta.index}_{meta.scene_id}"
+        name = IriFactory.for_meta(meta).local
         for fmt, render in (("nt", serialize_ntriples), ("ttl", serialize_turtle)):
             if fmt in cfg.formats:
-                path = out / f"{slug}.{fmt}"
+                path = out / f"{name}.{fmt}"
                 path.write_text(render(activity_doc), encoding="utf-8")
                 manifest["activities"].append(str(path))
 

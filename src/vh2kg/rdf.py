@@ -101,9 +101,24 @@ def _escape(text: str) -> str:
             .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
 
 
-def _unescape(text: str) -> str:
-    return (text.replace("\\t", "\t").replace("\\r", "\r").replace("\\n", "\n")
-            .replace('\\"', '"').replace("\\\\", "\\"))
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+           '"': '"', "'": "'", "\\": "\\"}
+
+
+def _unescape(text: str, line_no: int) -> str:
+    """Resolve N-Triples string escapes in one left-to-right pass."""
+    if "\\" not in text:  # most literals; skips the regex callback machinery
+        return text
+
+    def one(m):
+        code, char = m.group(1) or m.group(2), m.group(3)
+        if char in _ECHARS:
+            return _ECHARS[char]
+        if code and int(code, 16) <= 0x10FFFF:
+            return chr(int(code, 16))
+        raise NTriplesSyntaxError(f"line {line_no}: bad escape {m.group(0)!r}")
+    return _ESCAPE_RE.sub(one, text)
 
 
 def _nt_term(o) -> str:
@@ -175,7 +190,7 @@ def parse_ntriples(text: str) -> KgDocument:
         if o_iri is not None:
             doc.add(s, p, o_iri)
         else:
-            doc.add(s, p, Literal(_unescape(o_lex), o_dt or XSD_STRING))
+            doc.add(s, p, Literal(_unescape(o_lex, line_no), o_dt or XSD_STRING))
     return doc
 
 

@@ -5,18 +5,23 @@ above the agent's top; R2 flags grabbing an object whose top lies below the
 agent's body center.  Both look only at the situation before the event and
 use strict inequalities.  The equivalent SPARQL texts ship as fixture files
 for external triplestores.
+
+The shipped r1.rq/r2.rq read an object's height from the static
+``:height/rdf:value``, while ``_geometry`` reads the y size of the live state
+shape.  The two agree only because the simulator never resizes a bbox; a
+simulator that did would make the SPARQL and Python rules disagree.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import schema as S
 from .errors import MissingGeometry, VH2KGError
 from .rdf import KgDocument, KgIndex, Literal
 from .simulate import Trace
-from .synth import ActivityMeta, IriFactory, _state_fingerprint
+from .synth import ActivityMeta, IriFactory, state_indices
 
 R1_EXCLUDED_VERBS = frozenset({"walk", "watch", "turnTo", "lookAt"})
 
@@ -105,22 +110,6 @@ def _matches(rule: RiskRule, verb: str, agent_cy, agent_h, obj_cy, obj_h) -> boo
 
 # --- evaluation over traces ---
 
-def _state_indices(trace: Trace, node_id: int, affordance_table, property_table):
-    """Situation index at which the current state instance of the object was
-    minted, per situation (mirrors the builder's dedup rule)."""
-    indices = []
-    prev_fp = None
-    current = 0
-    for n, situation in enumerate(trace.situations):
-        fp = _state_fingerprint(situation.graph.node(node_id),
-                                affordance_table, property_table)
-        if prev_fp is None or fp != prev_fp:
-            current = n
-        indices.append(current)
-        prev_fp = fp
-    return indices
-
-
 def eval_rules_trace(trace: Trace, meta: ActivityMeta, rules=("R1", "R2"),
                      affordance_table=None, property_table=None) -> list[RiskFinding]:
     f = IriFactory.for_meta(meta)
@@ -131,7 +120,7 @@ def eval_rules_trace(trace: Trace, meta: ActivityMeta, rules=("R1", "R2"),
 
     def state_index(node_id, situation_no):
         if node_id not in state_idx_cache:
-            state_idx_cache[node_id] = _state_indices(
+            state_idx_cache[node_id] = state_indices(
                 trace, node_id, affordance_table, property_table)
         return state_idx_cache[node_id][situation_no]
 
@@ -178,14 +167,6 @@ def eval_rules_trace(trace: Trace, meta: ActivityMeta, rules=("R1", "R2"),
                                             node.bbox.center[1], node.height_meters),
                     explanation_path=path))
     return _dedupe(findings)
-
-
-def eval_r1(trace, meta, **kw):
-    return eval_rules_trace(trace, meta, rules=("R1",), **kw)
-
-
-def eval_r2(trace, meta, **kw):
-    return eval_rules_trace(trace, meta, rules=("R2",), **kw)
 
 
 # --- evaluation over knowledge graphs ---

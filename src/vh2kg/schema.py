@@ -1,6 +1,6 @@
 """Vocabulary constants for the event-centric knowledge-graph schema."""
 
-from .rdf import AN, EX, HO, HRA, RDF, RDFS, TIME, VH2KG, X3DO
+from .rdf import AN, HO, HRA, RDF, RDFS, VH2KG, X3DO
 
 # classes
 ACTIVITY = VH2KG + "Activity"
@@ -20,7 +20,6 @@ CATEGORY_CLASSES = {name: HO + name for name in (
 )}
 
 # risk vocabulary
-RISK_ACTIVITY = HRA + "RiskActivity"
 RISK_EVENT = HRA + "RiskEvent"
 RISK_HIGH = HRA + "DoSomethingToHighPositionObject"
 RISK_LOW = HRA + "GrabLowPositionObject"
@@ -31,7 +30,6 @@ AGENT = VH2KG + "agent"
 HAS_EVENT = VH2KG + "hasEvent"
 EVENT_NUMBER = VH2KG + "eventNumber"
 ACTION = VH2KG + "action"
-OBJECT = VH2KG + "object"          # generic; mainObject/targetObject specialize it
 MAIN_OBJECT = VH2KG + "mainObject"
 TARGET_OBJECT = VH2KG + "targetObject"
 PLACE = VH2KG + "place"
@@ -66,8 +64,6 @@ RDFS_LABEL = RDFS + "label"
 RDFS_COMMENT = RDFS + "comment"
 RDFS_SUBCLASS = RDFS + "subClassOf"
 
-TIME_NS = TIME
-INSTANCE_NS = EX
 ACTION_NS = AN
 
 

@@ -41,20 +41,20 @@ class IriFactory:
         self.slug = snake_case(activity_name)
         self.k = activity_index
         self.scene = scene_id
-        self._act = f"{self.slug}{self.k}_{scene_id}"
+        self.local = f"{self.slug}{self.k}_{scene_id}"  # activity local name
 
     @classmethod
     def for_meta(cls, meta: ActivityMeta) -> "IriFactory":
         return cls(meta.name, meta.index, meta.scene_id)
 
     def activity(self) -> str:
-        return EX + self._act
+        return EX + self.local
 
     def event(self, n: int) -> str:
-        return EX + f"event{n}_{self._act}"
+        return EX + f"event{n}_{self.local}"
 
     def situation(self, n: int) -> str:
-        return EX + f"home_situation{n}_{self._act}"
+        return EX + f"home_situation{n}_{self.local}"
 
     def object(self, node: ObjectNode) -> str:
         return EX + f"{node.class_name}{node.id}_{self.scene}"
@@ -63,20 +63,16 @@ class IriFactory:
         return EX + f"character1_{self.scene}"
 
     def state(self, n: int, node: ObjectNode) -> str:
-        return EX + f"state{n}_{node.class_name}{node.id}_{self._act}"
+        return EX + f"state{n}_{node.class_name}{node.id}_{self.local}"
 
     def shape(self, n: int, node: ObjectNode) -> str:
-        return EX + f"shape{n}_{node.class_name}{node.id}_{self._act}"
+        return EX + f"shape{n}_{node.class_name}{node.id}_{self.local}"
 
     def height(self, node: ObjectNode) -> str:
         return EX + f"height_{node.class_name}{node.id}_{self.scene}"
 
     def scene_iri(self) -> str:
         return EX + self.scene
-
-
-def mint_iris(activity_name: str, activity_index: int, scene_id: str) -> IriFactory:
-    return IriFactory(activity_name, activity_index, scene_id)
 
 
 def _node_iri(factory: IriFactory, node: ObjectNode) -> str:
@@ -92,9 +88,20 @@ def _emit_collection(doc: KgDocument, base: str, values) -> str:
     return cells[0]
 
 
-def _state_fingerprint(node: ObjectNode, affordance_table, property_table):
-    return (node.states, node.bbox,
-            afforded_verbs(node, affordance_table, property_table))
+def state_indices(trace: Trace, node_id: int, affordance_table=None,
+                  property_table=None) -> list[int]:
+    """Per situation, the index of the situation that minted the object's
+    current state node.  A new state is minted only when the object's
+    (state tokens, bbox, afforded verbs) changed."""
+    indices = []
+    prev_fp = None
+    for n, situation in enumerate(trace.situations):
+        node = situation.graph.node(node_id)
+        fp = (node.states, node.bbox,
+              afforded_verbs(node, affordance_table, property_table))
+        indices.append(n if fp != prev_fp else indices[-1])
+        prev_fp = fp
+    return indices
 
 
 def build_activity_kg(trace: Trace, meta: ActivityMeta,
@@ -178,13 +185,12 @@ def build_activity_kg(trace: Trace, meta: ActivityMeta,
                 doc.add(iri, S.ATTRIBUTE, S.VH2KG + tok)
 
         prev_state_iri = None
-        prev_fp = None
-        for n, situation in enumerate(trace.situations):
-            current = situation.graph.node(node.id)
-            fp = _state_fingerprint(current, affordance_table, property_table)
-            if prev_state_iri is not None and fp == prev_fp:
+        for n, minted in enumerate(state_indices(trace, node.id, affordance_table,
+                                                 property_table)):
+            if minted != n:
                 doc.add(prev_state_iri, S.PART_OF, f.situation(n))
                 continue
+            current = trace.situations[n].graph.node(node.id)
             state_iri = f.state(n, node)
             doc.add(state_iri, S.RDF_TYPE, S.STATE)
             doc.add(state_iri, S.IS_STATE_OF, iri)
@@ -202,5 +208,5 @@ def build_activity_kg(trace: Trace, meta: ActivityMeta,
             if prev_state_iri is not None:
                 doc.add(prev_state_iri, S.NEXT_STATE, state_iri)
                 doc.add(state_iri, S.PREVIOUS_STATE, prev_state_iri)
-            prev_state_iri, prev_fp = state_iri, fp
+            prev_state_iri = state_iri
     return doc

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import re
 from dataclasses import dataclass, field
 
 from . import schema as S
@@ -66,7 +65,6 @@ class GraphView:
                                                   isinstance(t.object, str)))
         # sorted adjacency keeps sampling deterministic under a seed
         self.adj = {k: sorted(v) for k, v in adj.items()}
-        self._doc = doc
 
     def out(self, node: str) -> list:
         return self.adj.get(node, [])
@@ -172,16 +170,3 @@ def wl_relabel(doc: KgDocument, cfg: WalkConfig = WalkConfig()) -> WalkCorpus:
                  for i, tok in enumerate(seq)])
     return corpus
 
-
-_SCENE_SUFFIX = re.compile(r"_scene[0-9A-Za-z]+$")
-_TRAILING_DIGITS = re.compile(r"[0-9]+$")
-
-
-def canonicalize_token(token: str) -> str:
-    """Strip scene suffixes and activity indices so label-isomorphic
-    instances compare equal (used by walk-multiset property tests)."""
-    if "://" in token:
-        ns, _, local = token.rpartition("/")
-        stripped = _TRAILING_DIGITS.sub("", _SCENE_SUFFIX.sub("", local))
-        return f"{ns}/{stripped}"
-    return _TRAILING_DIGITS.sub("", _SCENE_SUFFIX.sub("", token))

@@ -3,9 +3,9 @@ import pytest
 from vh2kg.fixtures import (load_fixture_affordance_table,
                             load_fixture_environment, load_fixture_ground_truth,
                             load_fixture_property_table, load_fixture_scripts)
+from vh2kg.pipeline import simulate_corpus
 from vh2kg.rdf import KgDocument
-from vh2kg.simulate import run_script
-from vh2kg.synth import ActivityMeta, build_activity_kg
+from vh2kg.synth import build_activity_kg
 
 
 @pytest.fixture(scope="session")
@@ -38,39 +38,29 @@ def ground_truth():
     return load_fixture_ground_truth()
 
 
-def _run_corpus(env, scripts, affordance_table, property_table):
-    runs = []
-    for script in scripts:
-        trace = run_script(script, env, affordance_table=affordance_table,
-                           property_table=property_table)
-        meta = ActivityMeta(name=script.name, category=script.category,
-                            description=script.description)
-        runs.append((trace, meta))
-    return runs
-
-
 @pytest.fixture(scope="session")
 def base_runs(base_env, scripts, affordance_table, property_table):
-    return _run_corpus(base_env, scripts, affordance_table, property_table)
+    return simulate_corpus(scripts, base_env, affordance_table=affordance_table,
+                           property_table=property_table)
 
 
 @pytest.fixture(scope="session")
 def fp_runs(fp_env, scripts, affordance_table, property_table):
-    return _run_corpus(fp_env, scripts, affordance_table, property_table)
+    return simulate_corpus(scripts, fp_env, affordance_table=affordance_table,
+                           property_table=property_table)
 
 
-def _build_doc(runs, affordance_table, property_table):
+@pytest.fixture(scope="session")
+def base_doc(base_runs, affordance_table, property_table):
     doc = KgDocument()
-    for trace, meta in runs:
+    for trace, meta in base_runs:
         build_activity_kg(trace, meta, affordance_table, property_table, doc=doc)
     return doc
 
 
 @pytest.fixture(scope="session")
-def base_doc(base_runs, affordance_table, property_table):
-    return _build_doc(base_runs, affordance_table, property_table)
-
-
-@pytest.fixture(scope="session")
 def fp_doc(fp_runs, affordance_table, property_table):
-    return _build_doc(fp_runs, affordance_table, property_table)
+    doc = KgDocument()
+    for trace, meta in fp_runs:
+        build_activity_kg(trace, meta, affordance_table, property_table, doc=doc)
+    return doc

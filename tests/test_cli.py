@@ -4,6 +4,7 @@ import pytest
 
 from vh2kg.cli import main
 from vh2kg.fixtures import fixture_path
+from vh2kg.rdf import EX
 
 SCRIPT = str(fixture_path("scripts", "carry_box.txt"))
 ENV = str(fixture_path("environment.json"))
@@ -133,3 +134,22 @@ def test_pipeline_subcommand(capsys, tmp_path):
     assert report["evaluation"]["recall"] == 1.0
     assert (tmp_path / "out" / "corpus.nt").exists()
     assert (tmp_path / "out" / "vectors.tsv").exists()
+
+
+def test_cluster_roots_keeps_only_activities(capsys, tmp_path):
+    graph = tmp_path / "g.nt"
+    for script in ("carry_box.txt", "read_book.txt"):
+        code, out = run(capsys, "build-kg", str(fixture_path("scripts", script)),
+                        ENV, "--affordances", AFF, "--properties", PROPS)
+        assert code == 0
+        with graph.open("a") as fh:
+            fh.write(out)
+    code, out = run(capsys, "embed", str(graph), "--depth", "2", "--walks", "5",
+                    "--dims", "8", "--epochs", "2")
+    vectors = tmp_path / "v.tsv"
+    vectors.write_text(out)
+    code, out = run(capsys, "cluster", str(vectors), "-k", "2",
+                    "--roots", str(graph))
+    assert code == 0
+    tokens = sorted(line.split(",")[0] for line in out.splitlines())
+    assert tokens == [EX + "carry_box0_scene1", EX + "read_book0_scene1"]

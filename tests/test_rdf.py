@@ -4,10 +4,11 @@ round-trip oracle (deliberately not sharing code with the package parser)."""
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from vh2kg.errors import NTriplesSyntaxError
-from vh2kg.rdf import (KgDocument, KgIndex, Literal, Triple, decimal,
-                       graph_stats, integer, parse_ntriples,
+from vh2kg.rdf import (XSD_DECIMAL, XSD_STRING, KgDocument, KgIndex, Literal,
+                       Triple, decimal, graph_stats, integer, parse_ntriples,
                        serialize_ntriples, serialize_turtle, string)
 
 _ORACLE_RE = re.compile(
@@ -66,6 +67,36 @@ def test_corpus_round_trip_against_oracle(base_doc):
             ours.add((t.subject, t.predicate,
                       ("lit", t.object.lexical, t.object.datatype)))
     assert oracle == ours
+
+
+def round_trip(lexical, datatype=XSD_STRING):
+    doc = KgDocument()
+    doc.add("http://x/a", "http://x/p", Literal(lexical, datatype))
+    (triple,) = parse_ntriples(serialize_ntriples(doc)).triples
+    return triple.object.lexical
+
+
+@given(st.text())
+def test_any_literal_round_trips(text):
+    assert round_trip(text) == text
+    assert round_trip(text, XSD_DECIMAL) == text
+
+
+def test_backslashes_survive_round_trip():
+    assert round_trip("C:\\temp\\new") == "C:\\temp\\new"
+    assert round_trip("\\n\\\\t") == "\\n\\\\t"
+
+
+def test_parse_numeric_escapes():
+    doc = parse_ntriples('<a> <b> "caf\\u00E9 \\U0001F600\\u005Cn" .\n')
+    (triple,) = doc.triples
+    assert triple.object.lexical == "caf\u00e9 \U0001F600\\n"
+
+
+def test_parse_rejects_bad_escapes():
+    for bad in ("\\q", "\\u12", "\\U00110000"):
+        with pytest.raises(NTriplesSyntaxError, match="line 1: bad escape"):
+            parse_ntriples(f'<a> <b> "{bad}" .\n')
 
 
 def test_serialization_sorted_and_stable():
