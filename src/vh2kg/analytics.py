@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 from . import schema as S
@@ -73,13 +74,14 @@ def duration_by_activity(doc: KgDocument,
         if category_filter is not None:
             if HO + category_filter not in idx.objects(activity, S.RDF_TYPE):
                 continue
-        total = 0.0
+        durations = []
         for ev in idx.objects(activity, S.HAS_EVENT):
             lit = idx.object(ev, S.TIME_PROP)
             if isinstance(lit, Literal):
-                total += float(lit.lexical)
-                any_duration = True
-        totals[activity] = total
+                durations.append(float(lit.lexical))
+        any_duration = any_duration or bool(durations)
+        # exactly rounded, so the total does not depend on hash order
+        totals[activity] = math.fsum(durations)
     if totals and not any_duration:
         raise MissingDurations("no event duration literals in the document")
     return _ranked(totals)

@@ -52,6 +52,11 @@ class UnknownProperty(VH2KGError):
     pass
 
 
+class InvalidName(VH2KGError):
+    """A name that would be spliced into an IRI has characters outside
+    [A-Za-z0-9_]."""
+
+
 # --- simulation ---
 
 class Unexecutable(VH2KGError):

@@ -10,9 +10,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 
-from .errors import (DanglingEdge, DuplicateId, NoAgent, Orphan,
+from .errors import (DanglingEdge, DuplicateId, InvalidName, NoAgent, Orphan,
                      ScoreOutOfRange, UnknownProperty)
 
 RELATIONS = frozenset({"INSIDE", "ON", "CLOSE", "FACING", "HOLDS_RH", "HOLDS_LH"})
@@ -38,6 +39,17 @@ DEFAULT_PROPERTY_TABLE: dict[str, tuple[str, tuple[str, ...]]] = {
     "HAS_PLUG": ("Attribute", ()),
     "LOOKABLE": ("Attribute", ()),
 }
+
+
+_IRI_SAFE = re.compile(r"[A-Za-z0-9_]+")
+
+
+def check_name(kind: str, name: str) -> str:
+    """Return ``name`` if it can be spliced into an IRI local name as is;
+    raise InvalidName otherwise."""
+    if not isinstance(name, str) or not _IRI_SAFE.fullmatch(name):
+        raise InvalidName(f"{kind} {name!r} must match [A-Za-z0-9_]+")
+    return name
 
 
 @dataclass(frozen=True)
@@ -124,7 +136,7 @@ def load_environment(document: dict) -> EnvironmentGraph:
         bb = nd.get("bounding_box") or {"center": [0, 0, 0], "size": [0, 0, 0]}
         nodes.append(ObjectNode(
             id=nd["id"],
-            class_name=nd["class_name"],
+            class_name=check_name("class name", nd["class_name"]),
             category=nd.get("category", ""),
             is_room=bool(nd.get("is_room", False)),
             is_agent=bool(nd.get("is_agent", False)),

@@ -151,23 +151,31 @@ def _qname(iri: str, prefixes: dict) -> str:
     return f"{best}:{iri[len(prefixes[best]):]}"
 
 
-def _ttl_term(o, prefixes) -> str:
+def _ttl_term(o, qname) -> str:
     if isinstance(o, str):
-        return _qname(o, prefixes)
+        return qname(o)
     if o.datatype == XSD_STRING:
         return f'"{_escape(o.lexical)}"'
-    return f'"{_escape(o.lexical)}"^^{_qname(o.datatype, prefixes)}'
+    return f'"{_escape(o.lexical)}"^^{qname(o.datatype)}'
 
 
 def serialize_turtle(doc: KgDocument) -> str:
+    qnames: dict[str, str] = {}
+
+    def qname(iri: str) -> str:
+        # _qname tries every prefix; each IRI recurs across many triples
+        q = qnames.get(iri)
+        if q is None:
+            q = qnames[iri] = _qname(iri, doc.prefixes)
+        return q
+
     out = []
     for prefix, ns in doc.prefixes.items():
         out.append(f"@prefix {prefix}: <{ns}> .")
     out.append("")
     for t in doc.sorted_triples():
-        s = _qname(t.subject, doc.prefixes)
-        p = "a" if t.predicate == RDF + "type" else _qname(t.predicate, doc.prefixes)
-        out.append(f"{s} {p} {_ttl_term(t.object, doc.prefixes)} .")
+        p = "a" if t.predicate == RDF + "type" else qname(t.predicate)
+        out.append(f"{qname(t.subject)} {p} {_ttl_term(t.object, qname)} .")
     return "\n".join(out) + "\n"
 
 

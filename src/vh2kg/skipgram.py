@@ -1,9 +1,10 @@
 """Skip-gram training over walk corpora.
 
 Two routes: exact softmax (the verification oracle, tractable for small
-vocabularies) and negative sampling with a unigram^0.75 noise distribution
-(the large-vocabulary path).  Training is single-threaded and deterministic
-under a seed.
+vocabularies, updated pair by pair) and negative sampling with a
+unigram^0.75 noise distribution (the large-vocabulary path, updated in
+minibatches of consecutive pairs).  Training is single-threaded and
+deterministic under a seed.
 """
 
 from __future__ import annotations
@@ -90,68 +91,100 @@ def sg_loss_and_grad(model: EmbeddingModel, center_idx: int, context_idx: int):
     return loss, grad_in, grad_out
 
 
-def _pairs(sequences, index, window):
-    for seq in sequences:
-        ids = [index[t] for t in seq]
-        for t, center in enumerate(ids):
-            lo = max(0, t - window)
-            for j in range(lo, min(len(ids), t + window + 1)):
-                if j != t:
-                    yield center, ids[j]
+#: Pairs per negative-sampling minibatch.  Consecutive pairs share centers
+#: and contexts, so a batch much larger than this sums many stale gradients
+#: into the same rows and diverges; a batch of one is plain per-pair SGD.
+_BATCH = 128
+
+
+def _pair_arrays(sequences, index, window):
+    """Every (center, context) pair as two index arrays, in corpus order:
+    sequence by sequence, center by center, context positions ascending."""
+    ids = np.array([index[t] for seq in sequences for t in seq], dtype=np.intp)
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.intp)
+    ends = np.repeat(np.cumsum(lengths), lengths)
+    starts = ends - np.repeat(lengths, lengths)
+    offsets = np.array([o for o in range(-window, window + 1) if o != 0])
+    positions = np.arange(len(ids))[:, None] + offsets
+    valid = (positions >= starts[:, None]) & (positions < ends[:, None])
+    centers = np.broadcast_to(ids[:, None], positions.shape)[valid]
+    return centers, ids[positions[valid]]
 
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _scatter_add(matrix, rows, values):
+    """matrix[rows] += values, summing the values of repeated rows."""
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    matrix[rows[starts]] += np.add.reduceat(values[order], starts, axis=0)
+
+
+def _softmax_epoch(model, centers, contexts, lr):
+    total = 0.0
+    for center, context in zip(centers.tolist(), contexts.tolist()):
+        loss, grad_in, grad_out = sg_loss_and_grad(model, center, context)
+        model.output_vectors -= lr * grad_out
+        model.input_vectors[center] -= lr * grad_in[center]
+        total += loss
+    return total
+
+
+def _negative_sampling_epoch(model, centers, contexts, lr, rng, cdf, k):
+    """One pass of minibatched SGD; each row of a batch scores its context
+    (label 1) and k negatives drawn from the noise CDF (label 0), and all
+    gradients of a batch are taken at the weights before its update."""
+    signs = np.r_[1.0, -np.ones(k)]
+    w_in, w_out = model.input_vectors, model.output_vectors
+    total = 0.0
+    for lo in range(0, len(centers), _BATCH):
+        c = centers[lo:lo + _BATCH]
+        negatives = np.searchsorted(cdf, rng.random((len(c), k)), side="right")
+        rows = np.concatenate((contexts[lo:lo + _BATCH, None], negatives), axis=1)
+        v = w_in[c]                                  # B x D
+        u = w_out[rows]                              # B x (k+1) x D
+        scores = _sigmoid(signs * np.einsum("bkd,bd->bk", u, v))
+        total += -float(np.sum(np.log(np.clip(scores, 1e-12, None))))
+        coeff = signs * (scores - 1.0)               # d(loss)/d(u_row . v)
+        grad_center = np.einsum("bk,bkd->bd", coeff, u)
+        grad_out = coeff[:, :, None] * v[:, None, :]
+        _scatter_add(w_out, rows.ravel(), -lr * grad_out.reshape(-1, v.shape[1]))
+        _scatter_add(w_in, c, -lr * grad_center)
+    return total
+
+
 def train_skipgram(corpus: WalkCorpus, cfg: SkipGramConfig = SkipGramConfig()
                    ) -> tuple[EmbeddingModel, list[float]]:
     """SGD over all (center, context) pairs; returns the model and the
-    average loss per epoch."""
+    average loss per epoch.  Negative sampling updates minibatches of
+    consecutive pairs; the exact-softmax route updates pair by pair."""
     if not corpus.sequences or all(not s for s in corpus.sequences):
         raise EmptyCorpus("cannot train on an empty corpus")
     vocab, counts = build_vocab(corpus)
     model = init_model(vocab, cfg)
+    centers, contexts = _pair_arrays(corpus.sequences, model.index, cfg.window)
+    if len(centers) == 0:
+        raise EmptyCorpus("corpus yields no training pairs")
+    # unigram^0.75 noise, normalised the way Generator.choice normalises p
     noise = counts ** 0.75
-    noise /= noise.sum()
+    cdf = np.cumsum(noise / noise.sum())
+    cdf /= cdf[-1]
     rng = np.random.default_rng(cfg.seed + 1)
     losses = []
     for epoch in range(cfg.epochs):
         # linear decay to 10% of the initial rate over the epochs
         frac = epoch / cfg.epochs
         lr = cfg.learning_rate * (1.0 - 0.9 * frac)
-        total, n = 0.0, 0
-        for center, context in _pairs(corpus.sequences, model.index, cfg.window):
-            if cfg.negative_samples == 0:
-                loss, grad_in, grad_out = sg_loss_and_grad(model, center, context)
-                model.output_vectors -= lr * grad_out
-                model.input_vectors[center] -= lr * grad_in[center]
-            else:
-                loss = _negative_sampling_update(model, center, context,
-                                                 cfg.negative_samples, noise,
-                                                 lr, rng)
-            total += loss
-            n += 1
-        if n == 0:
-            raise EmptyCorpus("corpus yields no training pairs")
-        losses.append(total / n)
+        if cfg.negative_samples == 0:
+            total = _softmax_epoch(model, centers, contexts, lr)
+        else:
+            total = _negative_sampling_epoch(model, centers, contexts, lr, rng,
+                                             cdf, cfg.negative_samples)
+        losses.append(total / len(centers))
     return model, losses
-
-
-def _negative_sampling_update(model, center, context, k, noise, lr, rng):
-    negatives = rng.choice(len(model.vocab), size=k, p=noise)
-    v_c = model.input_vectors[center]
-    rows = np.concatenate(([context], negatives))
-    signs = np.concatenate(([1.0], -np.ones(k)))
-    u = model.output_vectors[rows]
-    scores = _sigmoid(signs * (u @ v_c))
-    loss = -float(np.sum(np.log(np.clip(scores, 1e-12, None))))
-    coeff = signs * (scores - 1.0)       # d(loss)/d(u_row . v_c)
-    grad_center = coeff @ u
-    # accumulate per-row updates (negatives may repeat)
-    np.add.at(model.output_vectors, rows, -lr * np.outer(coeff, v_c))
-    model.input_vectors[center] -= lr * grad_center
-    return loss
 
 
 def predict_probability(model: EmbeddingModel, context: str, center: str) -> float:

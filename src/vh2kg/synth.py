@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import schema as S
 from .errors import InvalidTrace, UnknownProperty
-from .home import ObjectNode, afforded_verbs, classify_property
+from .home import ObjectNode, afforded_verbs, check_name, classify_property
 from .rdf import EX, KgDocument, decimal, integer, string
 from .simulate import Trace
 
@@ -40,7 +40,7 @@ class IriFactory:
             raise ValueError("activity index must be non-negative")
         self.slug = snake_case(activity_name)
         self.k = activity_index
-        self.scene = scene_id
+        self.scene = check_name("scene id", scene_id)
         self.local = f"{self.slug}{self.k}_{scene_id}"  # activity local name
 
     @classmethod

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from vh2kg.fixtures import (load_fixture_affordance_table,
@@ -64,3 +66,20 @@ def fp_doc(fp_runs, affordance_table, property_table):
     for trace, meta in fp_runs:
         build_activity_kg(trace, meta, affordance_table, property_table, doc=doc)
     return doc
+
+
+@pytest.fixture(scope="session")
+def planted(base_runs, affordance_table, property_table):
+    """The fixture corpus plus a twin (activity index 1) of every fourth
+    activity, five twins in all; returns the graph and the (original, twin)
+    metadata pairs."""
+    doc = KgDocument()
+    pairs = []
+    for i, (trace, meta) in enumerate(base_runs):
+        build_activity_kg(trace, meta, affordance_table, property_table, doc=doc)
+        if i % 4 == 0 and len(pairs) < 5:
+            twin = replace(meta, index=1)
+            build_activity_kg(trace, twin, affordance_table, property_table,
+                              doc=doc)
+            pairs.append((meta, twin))
+    return doc, pairs

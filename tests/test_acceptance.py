@@ -14,12 +14,11 @@ from vh2kg.analytics import (ConfusionMatrix, all_event_iris, confusion, prf1)
 from vh2kg.cluster import KMeansConfig, kmeans, kmeans_history
 from vh2kg.pipeline import PipelineConfig, run_pipeline
 from vh2kg.fixtures import fixture_path
-from vh2kg.rdf import KgDocument, KgIndex, parse_ntriples, serialize_ntriples
+from vh2kg.rdf import KgIndex, parse_ntriples, serialize_ntriples
 from vh2kg.risk import RiskFinding, eval_rules_kg, eval_rules_trace
 from vh2kg.skipgram import (EmbeddingModel, SkipGramConfig, cosine_similarity,
                             predict_probability, sg_loss_and_grad,
                             softmax_probabilities, train_skipgram)
-from vh2kg.synth import ActivityMeta, build_activity_kg
 from vh2kg.walks import WalkConfig, extract_walks, wl_relabel
 from vh2kg.skipgram import WalkCorpus
 
@@ -214,7 +213,7 @@ def test_07_walks(capsys):
            "enumerator at depths 1-3; skips honored; sampling deterministic")
 
 
-def test_08_clustering(capsys, base_runs, affordance_table, property_table):
+def test_08_clustering(capsys, base_runs, planted):
     rng = np.random.default_rng(21)
     for trial in range(5):
         points = rng.random((60, 6))
@@ -222,16 +221,8 @@ def test_08_clustering(capsys, base_runs, affordance_table, property_table):
         for earlier, later in zip(history, history[1:]):
             assert later <= earlier + 1e-12
 
-    # plant 5 duplicate activities and embed the combined corpus
-    doc = KgDocument()
-    planted = []
-    for i, (trace, meta) in enumerate(base_runs):
-        build_activity_kg(trace, meta, affordance_table, property_table, doc=doc)
-        if i % 4 == 0 and len(planted) < 5:
-            twin = replace(meta, index=1)
-            build_activity_kg(trace, twin, affordance_table, property_table,
-                              doc=doc)
-            planted.append((meta, twin))
+    # 5 planted duplicate activities, embedded with the rest of the corpus
+    doc, planted = planted
     corpus = wl_relabel(doc, WalkConfig(depth=4, walks_per_entity=100,
                                         wl_iterations=0, seed=2))
     model, _ = train_skipgram(corpus, SkipGramConfig(

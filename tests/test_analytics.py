@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +98,37 @@ def test_duration_by_activity_filter(base_doc):
     assert set(dict(leisure)) <= set(dict(all_durations))
     # a category with no member activities simply yields an empty ranking
     assert analytics.duration_by_activity(base_doc, "PhysicalActivity") == []
+
+
+_DURATION_RANKING = """
+from vh2kg import analytics
+from vh2kg.fixtures import (load_fixture_affordance_table,
+                            load_fixture_environment, load_fixture_property_table,
+                            load_fixture_scripts)
+from vh2kg.pipeline import simulate_corpus
+from vh2kg.rdf import KgDocument
+from vh2kg.synth import build_activity_kg
+
+aff, props = load_fixture_affordance_table(), load_fixture_property_table()
+doc = KgDocument()
+for trace, meta in simulate_corpus(load_fixture_scripts(),
+                                   load_fixture_environment(),
+                                   affordance_table=aff, property_table=props):
+    build_activity_kg(trace, meta, aff, props, doc=doc)
+print(repr(analytics.duration_by_activity(doc)))
+print(repr(analytics.duration_by_activity(doc, "Leisure")))
+"""
+
+
+def test_duration_ranking_independent_of_hash_seed():
+    src = str(Path(analytics.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _DURATION_RANKING], env=env,
+            capture_output=True, check=True, timeout=120).stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_duration_missing_literals():

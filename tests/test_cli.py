@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,19 @@ def test_embed_and_cluster(capsys, tmp_path):
 def test_missing_file_is_exit_1(capsys):
     code, _ = run(capsys, "parse", "/nonexistent/script.txt")
     assert code == 1
+
+
+def test_name_minting_invalid_iri_is_exit_1(capsys, tmp_path):
+    env = json.loads(Path(ENV).read_text(encoding="utf-8"))
+    next(n for n in env["nodes"] if not n.get("is_room")
+         and not n.get("is_agent"))["class_name"] = "coffee table"
+    bad_env = tmp_path / "environment.json"
+    bad_env.write_text(json.dumps(env))
+    code, out = run(capsys, "check", SCRIPT, str(bad_env))
+    assert (code, out) == (1, "")
+    code, out = run(capsys, "build-kg", SCRIPT, ENV, "--affordances", AFF,
+                    "--properties", PROPS, "--scene", "a>b")
+    assert (code, out) == (1, "")
 
 
 def test_bad_usage_is_exit_2(capsys):

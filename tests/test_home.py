@@ -2,8 +2,8 @@ import copy
 
 import pytest
 
-from vh2kg.errors import (DanglingEdge, DuplicateId, NoAgent, Orphan,
-                          ScoreOutOfRange)
+from vh2kg.errors import (DanglingEdge, DuplicateId, InvalidName, NoAgent,
+                          Orphan, ScoreOutOfRange)
 from vh2kg.home import (AffordanceRecord, BoundingBox, afforded_verbs,
                         dump_environment, filter_affordances,
                         load_environment)
@@ -62,6 +62,14 @@ def test_orphan_node():
     doc = toy_document()
     doc["edges"] = doc["edges"][:1]  # mug no longer INSIDE any room
     with pytest.raises(Orphan):
+        load_environment(doc)
+
+
+@pytest.mark.parametrize("name", ["coffee table", "a>b"])
+def test_class_name_outside_iri_alphabet(name):
+    doc = toy_document()
+    doc["nodes"][2]["class_name"] = name
+    with pytest.raises(InvalidName):
         load_environment(doc)
 
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vh2kg.errors import NTriplesSyntaxError
-from vh2kg.rdf import (XSD_DECIMAL, XSD_STRING, KgDocument, KgIndex, Literal,
-                       Triple, decimal, graph_stats, integer, parse_ntriples,
-                       serialize_ntriples, serialize_turtle, string)
+from vh2kg.rdf import (RDF, XSD_DECIMAL, XSD_STRING, KgDocument, KgIndex,
+                       Literal, Triple, _escape, _qname, decimal, graph_stats,
+                       integer, parse_ntriples, serialize_ntriples,
+                       serialize_turtle, string)
 
 _ORACLE_RE = re.compile(
     r'^<([^>]*)> <([^>]*)> (?:<([^>]*)>|"((?:[^"\\]|\\.)*)"'
@@ -120,6 +121,27 @@ def test_turtle_prefixes_and_qnames(base_doc):
     assert "@prefix : <http://example.org/virtualhome2kg/ontology/> ." in ttl
     assert " a :Activity" in ttl
     assert '^^xsd:int' in ttl
+
+
+def reference_turtle(doc):
+    """Turtle with _qname called afresh for every term."""
+    out = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in doc.prefixes.items()]
+    out.append("")
+    for t in doc.sorted_triples():
+        p = "a" if t.predicate == RDF + "type" else _qname(t.predicate, doc.prefixes)
+        o = t.object
+        if isinstance(o, str):
+            o = _qname(o, doc.prefixes)
+        elif o.datatype == XSD_STRING:
+            o = f'"{_escape(o.lexical)}"'
+        else:
+            o = f'"{_escape(o.lexical)}"^^{_qname(o.datatype, doc.prefixes)}'
+        out.append(f"{_qname(t.subject, doc.prefixes)} {p} {o} .")
+    return "\n".join(out) + "\n"
+
+
+def test_turtle_matches_per_term_qnames(base_doc):
+    assert serialize_turtle(base_doc) == reference_turtle(base_doc)
 
 
 def test_parse_rejects_garbage():

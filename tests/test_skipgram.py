@@ -3,13 +3,14 @@ import time
 import numpy as np
 import pytest
 
+from vh2kg import skipgram
 from vh2kg.errors import EmptyCorpus, IndexOutOfRange, UnknownToken
 from vh2kg.skipgram import (EmbeddingModel, SkipGramConfig, build_vocab,
                             cosine_neighbors, cosine_similarity,
                             export_vectors, init_model, parse_vectors,
                             predict_probability, sg_loss_and_grad,
                             softmax_probabilities, train_skipgram)
-from vh2kg.walks import WalkCorpus
+from vh2kg.walks import WalkConfig, WalkCorpus, wl_relabel
 
 
 def random_model(rng, vocab_size, dim):
@@ -148,3 +149,80 @@ def test_cosine_similarity_bounds():
     assert cosine_similarity(np.array([1.0, 0]), np.array([2.0, 0])) == pytest.approx(1.0)
     assert cosine_similarity(np.array([1.0, 0]), np.array([0, 3.0])) == pytest.approx(0.0)
     assert cosine_similarity(np.zeros(2), np.array([1.0, 1.0])) == 0.0
+
+
+def per_pair_reference(corpus, cfg):
+    """Negative-sampling SGD one pair at a time: the loop the minibatched
+    trainer replaced, kept as its oracle."""
+    vocab, counts = build_vocab(corpus)
+    model = init_model(vocab, cfg)
+    noise = counts ** 0.75
+    noise /= noise.sum()
+    rng = np.random.default_rng(cfg.seed + 1)
+    k = cfg.negative_samples
+    signs = np.concatenate(([1.0], -np.ones(k)))
+    losses = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.learning_rate * (1.0 - 0.9 * epoch / cfg.epochs)
+        total, n = 0.0, 0
+        for seq in corpus.sequences:
+            ids = [model.index[t] for t in seq]
+            for t, center in enumerate(ids):
+                for j in range(max(0, t - cfg.window),
+                               min(len(ids), t + cfg.window + 1)):
+                    if j == t:
+                        continue
+                    negatives = rng.choice(len(vocab), size=k, p=noise)
+                    v_c = model.input_vectors[center]
+                    rows = np.concatenate(([ids[j]], negatives))
+                    u = model.output_vectors[rows]
+                    scores = 1.0 / (1.0 + np.exp(-(signs * (u @ v_c))))
+                    total -= float(np.sum(np.log(np.clip(scores, 1e-12, None))))
+                    n += 1
+                    coeff = signs * (scores - 1.0)
+                    grad_center = coeff @ u
+                    np.add.at(model.output_vectors, rows,
+                              -lr * np.outer(coeff, v_c))
+                    model.input_vectors[center] -= lr * grad_center
+        losses.append(total / n)
+    return model, losses
+
+
+def test_batch_of_one_matches_per_pair_sgd(monkeypatch):
+    rng = np.random.default_rng(7)
+    seqs = [[f"w{rng.integers(25)}" for _ in range(int(rng.integers(0, 14)))]
+            for _ in range(30)]
+    corpus = WalkCorpus(seqs)
+    cfg = SkipGramConfig(vector_size=10, window=3, epochs=3,
+                         negative_samples=4, seed=3)
+    expected, expected_losses = per_pair_reference(corpus, cfg)
+    monkeypatch.setattr(skipgram, "_BATCH", 1)
+    model, losses = train_skipgram(corpus, cfg)
+    assert np.allclose(model.input_vectors, expected.input_vectors,
+                       rtol=1e-9, atol=0)
+    assert np.allclose(model.output_vectors, expected.output_vectors,
+                       rtol=1e-9, atol=0)
+    assert np.allclose(losses, expected_losses, rtol=1e-9, atol=0)
+
+
+def test_minibatches_stay_stable_on_planted_corpus(planted):
+    doc, _ = planted
+    corpus = wl_relabel(doc, WalkConfig(depth=4, walks_per_entity=100,
+                                        wl_iterations=0, seed=6))
+    model, losses = train_skipgram(corpus, SkipGramConfig(
+        vector_size=48, window=5, epochs=5, seed=6))
+    assert np.isfinite(losses).all()
+    assert all(later < losses[0] for later in losses[1:])
+    assert np.isfinite(model.input_vectors).all()
+
+
+def test_scatter_add_sums_repeated_rows():
+    rng = np.random.default_rng(8)
+    matrix = rng.standard_normal((6, 3))
+    rows = np.array([4, 1, 4, 0, 4, 1, 5])
+    values = rng.standard_normal((len(rows), 3))
+    expected = matrix.copy()
+    np.add.at(expected, rows, values)
+    skipgram._scatter_add(matrix, rows, values)
+    assert np.allclose(matrix, expected, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(matrix[[2, 3]], expected[[2, 3]])

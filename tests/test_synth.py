@@ -3,7 +3,9 @@
 import pytest
 
 from vh2kg import schema as S
+from vh2kg.errors import InvalidName
 from vh2kg.rdf import KgIndex, Literal
+from vh2kg.synth import IriFactory
 
 
 def activities(idx):
@@ -146,3 +148,9 @@ def test_no_blank_nodes(base_doc):
 def test_total_event_count(idx):
     total = sum(len(idx.objects(a, S.HAS_EVENT)) for a in activities(idx))
     assert total == 103
+
+
+@pytest.mark.parametrize("scene", ["coffee table", "a>b", ""])
+def test_scene_id_outside_iri_alphabet(scene):
+    with pytest.raises(InvalidName):
+        IriFactory("Carry box", 0, scene)
