@@ -108,14 +108,18 @@ class EnvironmentGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {n.id: n for n in self.nodes})
+        object.__setattr__(self, "_agent", next((n for n in self.nodes if n.is_agent), None))
+        object.__setattr__(self, "_rooms", tuple(n for n in self.nodes if n.is_room))
 
     @property
     def agent(self) -> ObjectNode:
-        return next(n for n in self.nodes if n.is_agent)
+        if self._agent is None:
+            raise NoAgent(f"scene {self.scene_id} has no agent node")
+        return self._agent
 
     @property
-    def rooms(self) -> list[ObjectNode]:
-        return [n for n in self.nodes if n.is_room]
+    def rooms(self) -> tuple[ObjectNode, ...]:
+        return self._rooms
 
     def with_nodes(self, replacements: dict[int, ObjectNode]) -> "EnvironmentGraph":
         nodes = tuple(replacements.get(n.id, n) for n in self.nodes)

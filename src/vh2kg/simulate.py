@@ -106,21 +106,26 @@ def _room_of_point(env: EnvironmentGraph, x: float, z: float) -> ObjectNode | No
 
 
 def recompute_relations(state: SimulationState, cfg: SimConfig = SimConfig(),
-                        facing: tuple[int, int] | None = None) -> SimulationState:
+                        facing: tuple[int, int] | None = None,
+                        previous: SimulationState | None = None) -> SimulationState:
     """Refresh CLOSE and INSIDE edges from geometry.
 
-    CLOSE is inclusive at the threshold; INSIDE follows the room whose floor
-    area contains the node center; ON and HOLDS edges are preserved; FACING
+    CLOSE is inclusive at the threshold, and a held object is always CLOSE
+    to the agent; INSIDE follows the room whose floor area contains the node
+    center; ON edges are preserved; HOLDS edges follow ``state.held``; FACING
     survives only when re-established by the current step (turnTo/lookAt/find).
+
+    ``previous`` is the state this one was stepped from, itself an output of
+    this function.  With it, only pairs that touch a moved node (the agent, a
+    node whose bbox changed, or one picked up or put down) are re-tested, and
+    the other CLOSE and INSIDE edges are taken over from ``previous``.
+    Without it, or when a room moved, CLOSE pairs come from a sort-and-sweep
+    on center x.  Either way the edges come out as ON, HOLDS, FACING, CLOSE
+    in node-pair order, then INSIDE in node order.
     """
     env = state.graph
-    held = state.held_ids()
     agent = env.agent
-    edges: list[RelationEdge] = []
-    keep = {"ON"}
-    for e in env.edges:
-        if e.relation in keep:
-            edges.append(e)
+    edges = [e for e in env.edges if e.relation == "ON"]
     for hand, oid in state.held:
         if oid is not None:
             edges.append(RelationEdge(agent.id, f"HOLDS_{hand}", oid))
@@ -128,13 +133,37 @@ def recompute_relations(state: SimulationState, cfg: SimConfig = SimConfig(),
         edges.append(RelationEdge(facing[0], "FACING", facing[1]))
 
     non_rooms = [n for n in env.nodes if not n.is_room]
-    for i, a in enumerate(non_rooms):
-        for b in non_rooms[i + 1:]:
-            if a.id in held and b.is_agent or b.id in held and a.is_agent:
-                edges.append(RelationEdge(a.id, "CLOSE", b.id))
-            elif a.bbox.distance_to(b.bbox) <= cfg.close_threshold:
-                edges.append(RelationEdge(a.id, "CLOSE", b.id))
+    pos = {n.id: i for i, n in enumerate(non_rooms)}
+    held = state.held_ids() & pos.keys()  # a held room is CLOSE to nothing
+    if previous is None or previous.graph.rooms != env.rooms:
+        moved = set(pos)
+        close = dict.fromkeys(_sweep_close(non_rooms, cfg.close_threshold))
+        inside = {}
+    else:
+        before = previous.graph
+        moved = {agent.id} | (held ^ (previous.held_ids() & pos.keys()))
+        moved.update(n.id for n in non_rooms
+                     if (p := before.node(n.id)) is not n and p.bbox != n.bbox)
+        close = {(pos[e.from_id], pos[e.to_id]): e for e in before.edges
+                 if e.relation == "CLOSE"
+                 and e.from_id not in moved and e.to_id not in moved}
+        for m in moved:
+            a, i = env.node(m), pos[m]
+            for j, b in enumerate(non_rooms):
+                if j != i and a.bbox.distance_to(b.bbox) <= cfg.close_threshold:
+                    close[min(i, j), max(i, j)] = None
+        inside = {e.from_id: e for e in before.edges if e.relation == "INSIDE"}
+    for oid in held:
+        i, j = sorted((pos[agent.id], pos[oid]))
+        close[i, j] = None
+
+    for i, j in sorted(close):
+        edges.append(close[i, j] or RelationEdge(non_rooms[i].id, "CLOSE", non_rooms[j].id))
     for n in non_rooms:
+        if n.id not in moved:
+            if n.id in inside:
+                edges.append(inside[n.id])
+            continue
         room = _room_of_point(env, n.bbox.center[0], n.bbox.center[2])
         if room is not None:
             edges.append(RelationEdge(n.id, "INSIDE", room.id))
@@ -143,6 +172,26 @@ def recompute_relations(state: SimulationState, cfg: SimConfig = SimConfig(),
     return replace(state,
                    graph=env.with_edges(edges),
                    current_room_id=room.id if room else state.current_room_id)
+
+
+def _sweep_close(nodes: list[ObjectNode], threshold: float) -> list[tuple[int, int]]:
+    """Position pairs (i < j) of nodes whose centers lie within ``threshold``.
+
+    Nodes are scanned in order of center x; the scan from a node stops at the
+    first one more than ``threshold`` further along x, since center distance
+    is never below |dx|."""
+    order = sorted(range(len(nodes)), key=lambda i: nodes[i].bbox.center[0])
+    boxes = [nodes[i].bbox for i in order]
+    xs = [box.center[0] for box in boxes]
+    pairs = []
+    for k, a in enumerate(boxes):
+        for m in range(k + 1, len(boxes)):
+            if xs[m] - xs[k] > threshold:
+                break
+            if a.distance_to(boxes[m]) <= threshold:
+                i, j = order[k], order[m]
+                pairs.append((i, j) if i < j else (j, i))
+    return pairs
 
 
 def initial_state(env: EnvironmentGraph, cfg: SimConfig = SimConfig()) -> SimulationState:
@@ -209,7 +258,10 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
                  cfg: SimConfig = SimConfig(), affordance_table=None,
                  property_table=None, step_index: int = 0,
                  ) -> tuple[SimulationState, TransitionRecord]:
-    """Apply one step; raises StepFailure when a precondition fails."""
+    """Apply one step; raises StepFailure when a precondition fails.
+
+    ``state`` comes from ``initial_state`` or an earlier step: its relations
+    are updated incrementally, not rebuilt."""
     verb = step.verb
     pre = state
     start_room = state.current_room_id
@@ -306,7 +358,7 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
     else:
         raise StepFailure("UnknownVerb", verb)
 
-    state = recompute_relations(state, cfg, facing=facing)
+    state = recompute_relations(state, cfg, facing=facing, previous=pre)
     state = replace(state, clock_seconds=pre.clock_seconds + duration)
     changed = diff_changed_ids(pre.graph, state.graph,
                                affordance_table=affordance_table,
@@ -328,6 +380,8 @@ def diff_changed_ids(before: EnvironmentGraph, after: EnvironmentGraph,
     changed = set()
     for node in before.nodes:
         other = after.node(node.id)
+        if other is node:
+            continue
         if (node.states != other.states or node.bbox != other.bbox
                 or afforded_verbs(node, affordance_table, property_table)
                 != afforded_verbs(other, affordance_table, property_table)):
@@ -346,8 +400,9 @@ def run_script(script: ActivityScript, env: EnvironmentGraph,
         raise ValueError(f"unknown mode {mode!r}")
     current = script
     repaired: set[int] = set()  # indices already given an inserted walk
+    start = initial_state(env, cfg)
     while True:
-        situations = [initial_state(env, cfg)]
+        situations = [start]
         transitions = []
         failure = None
         for idx, step in enumerate(current.steps):

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import pytest
 
@@ -34,6 +35,14 @@ def test_load_and_dump_round_trip():
     assert env.agent.id == 2
     assert env.node(3).class_name == "mug"
     assert load_environment(dump_environment(env)) == env
+
+
+def test_graph_without_agent():
+    env = load_environment(toy_document())
+    env = replace(env, nodes=tuple(n for n in env.nodes if not n.is_agent))
+    with pytest.raises(NoAgent):
+        env.agent
+    assert [r.id for r in env.rooms] == [1]
 
 
 def test_duplicate_id():

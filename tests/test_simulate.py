@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vh2kg.errors import Unexecutable
-from vh2kg.home import load_environment
+from vh2kg.home import RelationEdge, load_environment
 from vh2kg.scripts import ActivityScript, ObjectRef, Step
-from vh2kg.simulate import (DurationModel, SimConfig, check_executable,
-                            initial_state, run_script)
+from vh2kg.simulate import (DurationModel, SimConfig, StepFailure,
+                            check_executable, execute_step, initial_state,
+                            run_script)
 
 
 def build_env(extra_nodes=(), extra_edges=()):
@@ -54,6 +57,15 @@ def test_close_threshold_inclusive():
     env = build_env([mug_at(1.505, 0.0)], [inside(3)])
     state = initial_state(env)
     assert (2, 3) not in close_ids(state)
+
+
+@pytest.mark.parametrize("dz, close", [(0.0, True), (0.25, False)])
+def test_close_at_exact_threshold_along_x(dz, close):
+    # |dx| == threshold: the sweep on x must test the pair, not stop before it
+    a = dict(mug_at(-3.0, 0.0), id=3)
+    b = dict(mug_at(-1.5, dz), id=4)
+    env = build_env([a, b], [inside(3), inside(4)])
+    assert ((3, 4) in close_ids(initial_state(env))) is close
 
 
 def test_walk_stops_at_interaction_offset():
@@ -191,3 +203,142 @@ def test_custom_duration_model():
     dm = DurationModel(per_verb_seconds={"grab": 0.5})
     trace = run_script(script_of(Step("grab", ObjectRef("mug", 3))), env, dm)
     assert trace.transitions[0].duration_seconds == pytest.approx(0.5)
+
+
+# --- incremental relations against the all-pairs recompute ----------------
+
+def _room_at(env, x, z):
+    for room in env.rooms:
+        cx, _, cz = room.bbox.center
+        sx, _, sz = room.bbox.size
+        if abs(x - cx) <= sx / 2 and abs(z - cz) <= sz / 2:
+            return room
+    return None
+
+
+def all_pairs_relations(state, cfg, facing):
+    """Reference: CLOSE tested over every pair of non-room nodes."""
+    env = state.graph
+    held = state.held_ids()
+    agent = env.agent
+    edges = [e for e in env.edges if e.relation == "ON"]
+    for hand, oid in state.held:
+        if oid is not None:
+            edges.append(RelationEdge(agent.id, f"HOLDS_{hand}", oid))
+    if facing is not None:
+        edges.append(RelationEdge(facing[0], "FACING", facing[1]))
+    non_rooms = [n for n in env.nodes if not n.is_room]
+    for i, a in enumerate(non_rooms):
+        for b in non_rooms[i + 1:]:
+            if a.id in held and b.is_agent or b.id in held and a.is_agent:
+                edges.append(RelationEdge(a.id, "CLOSE", b.id))
+            elif a.bbox.distance_to(b.bbox) <= cfg.close_threshold:
+                edges.append(RelationEdge(a.id, "CLOSE", b.id))
+    for n in non_rooms:
+        room = _room_at(env, n.bbox.center[0], n.bbox.center[2])
+        if room is not None:
+            edges.append(RelationEdge(n.id, "INSIDE", room.id))
+    room = _room_at(env, agent.bbox.center[0], agent.bbox.center[2])
+    return tuple(edges), room.id if room else state.current_room_id
+
+
+def assert_matches_all_pairs(trace, cfg):
+    for situation in trace.situations:
+        facing = next(((e.from_id, e.to_id) for e in situation.graph.edges
+                       if e.relation == "FACING"), None)
+        edges, room_id = all_pairs_relations(situation, cfg, facing)
+        assert situation.graph.edges == edges
+        assert situation.current_room_id == room_id
+
+
+def test_carried_room_matches_all_pairs():
+    # A room that affords grab rides with the agent: every INSIDE may change.
+    env = build_env([mug_at(5.0, 0.0), dict(mug_at(-7.0, 0.0), id=4)],
+                    [inside(3), inside(4)])
+    room = replace(env.node(1), properties=frozenset({"GRABBABLE"}))
+    env = env.with_nodes({1: room})
+    script = script_of(Step("grab", ObjectRef("kitchen", 1)),
+                       Step("walk", ObjectRef("mug", 3)),
+                       Step("drink", ObjectRef("kitchen", 1)),
+                       Step("putBack", ObjectRef("kitchen", 1), ObjectRef("mug", 3)))
+    trace = run_script(script, env)
+    assert any(e.relation == "HOLDS_RH" and e.to_id == 1
+               for e in trace.situations[1].graph.edges)
+    # the walk carries the room's floor away from the far mug
+    assert not any(e.relation == "INSIDE" and e.from_id == 4
+                   for e in trace.situations[2].graph.edges)
+    assert_matches_all_pairs(trace, SimConfig())
+
+
+VERBS = ("walk", "grab", "putBack", "switchOn", "switchOff", "open",
+         "close", "sit", "standUp", "lookAt", "find", "touch")
+PROPERTIES = ("GRABBABLE", "HAS_SWITCH", "CAN_OPEN", "SITTABLE")
+grid = st.integers(-9, 29).map(lambda k: k * 0.5)   # x in [-4.5, 14.5]
+
+
+@st.composite
+def scenes(draw):
+    """Two rooms side by side (x in [-5, 5] and [5, 15]); the agent and the
+    objects sit on a 0.5 m grid, so distances of exactly 1.0 or 1.5 occur
+    along one axis and along diagonals (0.5 * sqrt(1 + 4 + 4) = 1.5)."""
+    def point():
+        return [draw(grid), draw(st.integers(0, 4)) * 0.5,
+                draw(st.integers(-11, 11)) * 0.5]   # some fall outside both rooms
+    nodes = [
+        {"id": 1, "class_name": "kitchen", "is_room": True,
+         "bounding_box": {"center": [0, 1.25, 0], "size": [10, 2.5, 10]}},
+        {"id": 2, "class_name": "bedroom", "is_room": True,
+         "bounding_box": {"center": [10, 1.25, 0], "size": [10, 2.5, 10]}},
+        {"id": 3, "class_name": "character", "is_agent": True, "states": ["STANDING"],
+         "bounding_box": {"center": point(), "size": [0.4, 1.8, 0.3]}},
+    ]
+    count = draw(st.integers(1, 10))
+    for oid in range(4, 4 + count):
+        props = draw(st.sets(st.sampled_from(PROPERTIES), min_size=1))
+        nodes.append({"id": oid, "class_name": "thing", "properties": sorted(props),
+                      "states": ["OFF", "CLOSED"],
+                      "bounding_box": {"center": point(), "size": [0.2, 0.2, 0.2]}})
+    edges = [{"from_id": n["id"], "relation_type": "INSIDE",
+              "to_id": 1 if n["bounding_box"]["center"][0] <= 5 else 2}
+             for n in nodes[2:]]
+    env = load_environment({"scene_id": "scene1", "nodes": nodes, "edges": edges})
+    objects = [ObjectRef("thing", oid) for oid in range(4, 4 + count)]
+    steps = draw(st.lists(st.builds(
+        Step, st.sampled_from(VERBS), st.sampled_from(objects),
+        st.sampled_from(objects)), min_size=1, max_size=25))
+    cfg = SimConfig(close_threshold=draw(st.sampled_from([1.0, 1.5])),
+                    hold_offset=draw(st.sampled_from([0.3, 2.0])))
+    return env, steps, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenes())
+def test_incremental_relations_match_all_pairs(scene):
+    env, steps, cfg = scene
+    # Keep the steps that succeed one after another, walking to the object
+    # first where needed: a strict-executable script.
+    state, kept = initial_state(env, cfg), []
+    for step in steps:
+        if step.verb == "putBack" and state.held_ids():
+            step = replace(step, main_object=ObjectRef("thing", min(state.held_ids())))
+        goal = step.target_object if step.verb == "putBack" else step.main_object
+        for plan in ([step], [Step("walk", goal), step]):
+            try:
+                after = state
+                for planned in plan:
+                    after, _ = execute_step(after, planned, cfg=cfg)
+            except StepFailure:
+                continue
+            state = after
+            kept += plan
+            break
+    script = script_of(*kept)
+    trace = run_script(script, env, cfg=cfg)
+    assert trace.situations[-1] == state
+    assert_matches_all_pairs(trace, cfg)
+    walkless = replace(script, steps=[s for s in kept if s.verb != "walk"])
+    try:
+        trace = run_script(walkless, env, mode="repair", cfg=cfg)
+    except Unexecutable:
+        return
+    assert_matches_all_pairs(trace, cfg)
