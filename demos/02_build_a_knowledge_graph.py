@@ -6,7 +6,7 @@ from vh2kg import schema as S
 from vh2kg.fixtures import (fixture_path, load_fixture_affordance_table,
                             load_fixture_environment,
                             load_fixture_property_table)
-from vh2kg.rdf import KgIndex, graph_stats, serialize_turtle
+from vh2kg.rdf import graph_stats, serialize_turtle
 from vh2kg.scripts import parse_script
 from vh2kg.simulate import run_script
 from vh2kg.synth import ActivityMeta, build_activity_kg
@@ -25,7 +25,7 @@ doc = build_activity_kg(trace, meta, affordances, properties)
 
 print("graph statistics:", graph_stats(doc))
 
-idx = KgIndex(doc)
+idx = doc.index()
 activity = "http://example.org/virtualhome2kg/instance/carry_box0_scene1"
 events = sorted(idx.objects(activity, S.HAS_EVENT),
                 key=lambda e: int(idx.object(e, S.EVENT_NUMBER).lexical))

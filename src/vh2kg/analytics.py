@@ -30,7 +30,7 @@ def _ranked(counts: dict) -> list[tuple[str, float]]:
 
 def grab_frequency(doc: KgDocument) -> list[tuple[str, int]]:
     """Grabbed-object classes ranked by grab-event count (ties alphabetical)."""
-    idx = KgIndex(doc)
+    idx = doc.index()
     counts: dict[str, int] = {}
     for ev in idx.subjects(S.ACTION, S.action_iri("grab")):
         for obj in idx.objects(ev, S.MAIN_OBJECT):
@@ -46,11 +46,9 @@ def state_change_frequency(doc: KgDocument,
     By default only transitions where the state-token set changed count;
     include_coordinate_only also counts pure coordinate moves.
     """
-    idx = KgIndex(doc)
+    idx = doc.index()
     counts: dict[str, int] = {}
-    for t in doc.triples:
-        if t.predicate != S.NEXT_STATE:
-            continue
+    for t in idx.by_predicate.get(S.NEXT_STATE, ()):
         before, after = t.subject, t.object
         if not include_coordinate_only:
             tokens_before = set(idx.objects(before, S.STATE_PROP))
@@ -67,7 +65,7 @@ def duration_by_activity(doc: KgDocument,
                          category_filter: str | None = None) -> list[tuple[str, float]]:
     """Activities ranked by summed event duration, optionally filtered by
     category class name (e.g. "Leisure")."""
-    idx = KgIndex(doc)
+    idx = doc.index()
     totals: dict[str, float] = {}
     any_duration = False
     for activity in set(idx.subjects(S.HAS_EVENT)):
@@ -136,7 +134,7 @@ def prf1(cm: ConfusionMatrix) -> tuple[float, float, float]:
 
 
 def all_event_iris(doc: KgDocument) -> list[str]:
-    idx = KgIndex(doc)
+    idx = doc.index()
     return sorted({obj for a in set(idx.subjects(S.HAS_EVENT))
                    for obj in idx.objects(a, S.HAS_EVENT)})
 

@@ -110,6 +110,9 @@ class EnvironmentGraph:
         object.__setattr__(self, "_by_id", {n.id: n for n in self.nodes})
         object.__setattr__(self, "_agent", next((n for n in self.nodes if n.is_agent), None))
         object.__setattr__(self, "_rooms", tuple(n for n in self.nodes if n.is_room))
+        # simulate.run_script's initial state per SimConfig: every script
+        # over this scene starts from the same one.
+        object.__setattr__(self, "_initial_states", {})
 
     @property
     def agent(self) -> ObjectNode:

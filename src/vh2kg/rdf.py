@@ -47,13 +47,13 @@ XSD_INT = XSD + "int"
 XSD_DECIMAL = XSD + "decimal"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Literal:
     lexical: str
     datatype: str = XSD_STRING
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: str
     predicate: str
@@ -83,17 +83,45 @@ def string(value: str) -> Literal:
 
 @dataclass
 class KgDocument:
+    """A triple set plus a prefix table.
+
+    ``index()`` and ``sorted_triples()`` are views cached on the document.
+    ``add`` and ``update`` drop them; a direct edit of ``triples`` is seen
+    only when it replaces the set or changes its size, so mutate through
+    ``add`` and ``update``.
+    """
     prefixes: dict = field(default_factory=lambda: dict(PREFIXES))
     triples: set = field(default_factory=set)
+    _views: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def add(self, s: str, p: str, o) -> None:
         self.triples.add(Triple(s, p, o))
+        if self._views:
+            self._views.clear()
 
     def update(self, other: "KgDocument") -> None:
         self.triples |= other.triples
+        self._views.clear()
 
-    def sorted_triples(self) -> list[Triple]:
-        return sorted(self.triples, key=Triple.sort_key)
+    def _view(self, name: str, build):
+        # The entry keeps the set it was built from, so its identity cannot
+        # be reused by another set while the entry lives.
+        triples = self.triples
+        entry = self._views.get(name)
+        if entry is None or entry[0] is not triples or entry[1] != len(triples):
+            entry = self._views[name] = (triples, len(triples), build())
+        return entry[2]
+
+    def index(self) -> "KgIndex":
+        """The document's shared KgIndex, built once per version."""
+        return self._view("index", lambda: KgIndex(self))
+
+    def sorted_triples(self) -> tuple[Triple, ...]:
+        """Triples in (subject, predicate, object) order, sorted once per
+        version and shared by the serializers."""
+        return self._view("sorted", lambda: tuple(
+            sorted(self.triples, key=Triple.sort_key)))
 
 
 def _escape(text: str) -> str:
@@ -220,12 +248,22 @@ def graph_stats(doc: KgDocument) -> dict:
 
 
 class KgIndex:
-    """Simple lookup structures over a document for pattern evaluation."""
+    """Lookup structures over a document for pattern evaluation.
+
+    Triples are listed per subject and per predicate, as cheap to build as
+    one pass over the set.  ``subjects(p, o)`` hashes object -> subjects for
+    predicate ``p`` the first time ``p`` is queried with an object; every
+    lookup returns its items in the order of that one pass.  Get the
+    document's shared instance from ``KgDocument.index()``.
+    """
 
     def __init__(self, doc: KgDocument):
-        self.doc = doc
+        # The triple set, not the document: a document caches its index,
+        # and a reference back would make every indexed document a cycle.
+        self.triples = doc.triples
         self.by_subject: dict[str, list[Triple]] = {}
         self.by_predicate: dict[str, list[Triple]] = {}
+        self._by_object: dict[str, dict[object, list[str]]] = {}
         for t in doc.triples:
             self.by_subject.setdefault(t.subject, []).append(t)
             self.by_predicate.setdefault(t.predicate, []).append(t)
@@ -235,12 +273,21 @@ class KgIndex:
                 if t.predicate == predicate]
 
     def object(self, subject: str, predicate: str):
-        objs = self.objects(subject, predicate)
-        return objs[0] if objs else None
+        for t in self.by_subject.get(subject, ()):
+            if t.predicate == predicate:
+                return t.object
+        return None
 
     def subjects(self, predicate: str, obj=None) -> list[str]:
-        return [t.subject for t in self.by_predicate.get(predicate, ())
-                if obj is None or t.object == obj]
+        triples = self.by_predicate.get(predicate, ())
+        if obj is None:
+            return [t.subject for t in triples]
+        table = self._by_object.get(predicate)
+        if table is None:
+            table = self._by_object[predicate] = {}
+            for t in triples:
+                table.setdefault(t.object, []).append(t.subject)
+        return list(table.get(obj, ()))
 
     def has(self, s, p, o) -> bool:
-        return Triple(s, p, o) in self.doc.triples
+        return Triple(s, p, o) in self.triples

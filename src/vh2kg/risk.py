@@ -186,9 +186,11 @@ def _collection_values(idx: KgIndex, head: str) -> list[float]:
 
 def _geometry(idx: KgIndex, entity: str, situation: str) -> tuple[float, float]:
     """(center_y, height) of an entity in the given situation."""
+    # Search from the situation side: one scene's states, where the entity
+    # side (the agent IRI is shared by every activity) spans the corpus.
     state = None
-    for s in idx.subjects(S.IS_STATE_OF, entity):
-        if situation in idx.objects(s, S.PART_OF):
+    for s in idx.subjects(S.PART_OF, situation):
+        if entity in idx.objects(s, S.IS_STATE_OF):
             state = s
             break
     if state is None:
@@ -207,7 +209,7 @@ def _geometry(idx: KgIndex, entity: str, situation: str) -> tuple[float, float]:
 
 
 def eval_rules_kg(doc: KgDocument, rules=("R1", "R2")) -> list[RiskFinding]:
-    idx = KgIndex(doc)
+    idx = doc.index()
     findings = []
     for activity in sorted(set(idx.subjects(S.HAS_EVENT))):
         agent = idx.object(activity, S.AGENT)
@@ -273,7 +275,7 @@ def explain(finding: RiskFinding, doc: KgDocument) -> dict:
     """Explanation bundle: DOT subgraph with the risk path in red, plus text."""
     if not finding.explanation_path:
         raise VH2KGError("finding carries an empty explanation path")
-    idx = KgIndex(doc)
+    idx = doc.index()
     for s, p, o in finding.explanation_path:
         if not idx.has(s, p, o):
             raise VH2KGError(f"explanation triple missing from KG: {s} {p} {o}")

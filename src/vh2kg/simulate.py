@@ -400,7 +400,9 @@ def run_script(script: ActivityScript, env: EnvironmentGraph,
         raise ValueError(f"unknown mode {mode!r}")
     current = script
     repaired: set[int] = set()  # indices already given an inserted walk
-    start = initial_state(env, cfg)
+    start = env._initial_states.get(cfg)
+    if start is None:
+        start = env._initial_states[cfg] = initial_state(env, cfg)
     while True:
         situations = [start]
         transitions = []

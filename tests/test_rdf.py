@@ -4,13 +4,16 @@ round-trip oracle (deliberately not sharing code with the package parser)."""
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from vh2kg import rdf
 from vh2kg.errors import NTriplesSyntaxError
-from vh2kg.rdf import (RDF, XSD_DECIMAL, XSD_STRING, KgDocument, KgIndex,
-                       Literal, Triple, _escape, _qname, decimal, graph_stats,
-                       integer, parse_ntriples, serialize_ntriples,
+from vh2kg.pipeline import analysis_report, evaluate_findings
+from vh2kg.rdf import (RDF, XSD_DECIMAL, XSD_INT, XSD_STRING, KgDocument,
+                       KgIndex, Literal, Triple, _escape, _qname, decimal,
+                       graph_stats, integer, parse_ntriples, serialize_ntriples,
                        serialize_turtle, string)
+from vh2kg.risk import detect_risks, explain
 
 _ORACLE_RE = re.compile(
     r'^<([^>]*)> <([^>]*)> (?:<([^>]*)>|"((?:[^"\\]|\\.)*)"'
@@ -166,3 +169,121 @@ def test_index_lookups(base_doc):
     activity = "http://example.org/virtualhome2kg/instance/carry_box0_scene1"
     events = idx.objects(activity, "http://example.org/virtualhome2kg/ontology/hasEvent")
     assert len(events) == 5
+
+
+class ScanIndex:
+    """The linear-scan index that KgIndex's hashed lookups replaced; kept as
+    their oracle."""
+
+    def __init__(self, doc):
+        self.by_subject, self.by_predicate = {}, {}
+        for t in doc.triples:
+            self.by_subject.setdefault(t.subject, []).append(t)
+            self.by_predicate.setdefault(t.predicate, []).append(t)
+
+    def objects(self, subject, predicate):
+        return [t.object for t in self.by_subject.get(subject, ())
+                if t.predicate == predicate]
+
+    def object(self, subject, predicate):
+        objs = self.objects(subject, predicate)
+        return objs[0] if objs else None
+
+    def subjects(self, predicate, obj=None):
+        return [t.subject for t in self.by_predicate.get(predicate, ())
+                if obj is None or t.object == obj]
+
+
+_IRIS = [f"http://x/{c}" for c in "abcdef"]
+_PREDICATES = [f"http://x/p{i}" for i in range(3)]
+# Literals that share a lexical form with an IRI or with each other, so a
+# lookup must tell an IRI from a literal and one datatype from another.
+_OBJECTS = _IRIS + [Literal(_IRIS[0]), Literal("1"), Literal("1", XSD_INT)]
+
+_documents = st.lists(st.tuples(st.sampled_from(_IRIS),
+                                st.sampled_from(_PREDICATES),
+                                st.sampled_from(_OBJECTS)), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents)
+def test_index_matches_linear_scan_oracle(rows):
+    doc = KgDocument()
+    for row in rows:
+        doc.add(*row)
+    idx, oracle = doc.index(), ScanIndex(doc)
+    for p in _PREDICATES + ["http://x/unused"]:
+        assert idx.subjects(p) == oracle.subjects(p)
+        for o in _OBJECTS:
+            assert idx.subjects(p, o) == oracle.subjects(p, o)
+        for s in _IRIS:
+            assert idx.objects(s, p) == oracle.objects(s, p)
+            assert idx.object(s, p) == oracle.object(s, p)
+
+
+def test_subjects_returns_a_copy():
+    doc = KgDocument()
+    doc.add("http://x/a", "http://x/p", "http://x/b")
+    doc.index().subjects("http://x/p", "http://x/b").append("junk")
+    assert doc.index().subjects("http://x/p", "http://x/b") == ["http://x/a"]
+
+
+def test_cached_views_see_every_edit():
+    a, p = "http://x/a", "http://x/p"
+    doc = KgDocument()
+    doc.add(a, p, "http://x/1")
+    idx = doc.index()
+    assert doc.index() is idx and doc.sorted_triples() is doc.sorted_triples()
+    other = KgDocument()
+    other.add(a, p, "http://x/3")
+    edits = [lambda: doc.add(a, p, "http://x/2"),
+             lambda: doc.update(other),
+             lambda: doc.triples.add(Triple(a, p, "http://x/4"))]  # bypass
+    for n, edit in enumerate(edits, start=2):
+        edit()
+        assert len(doc.index().objects(a, p)) == n
+        assert len(doc.sorted_triples()) == n
+    expected = [f"http://x/{i}" for i in range(1, 5)]
+    assert sorted(doc.index().objects(a, p)) == expected
+    assert [t.object for t in doc.sorted_triples()] == expected
+    doc.triples = {Triple(a, p, "http://x/5")}
+    assert doc.index().subjects(p, "http://x/5") == [a]
+    assert doc.sorted_triples() == (Triple(a, p, "http://x/5"),)
+
+
+def test_cache_is_not_part_of_the_document():
+    doc = sample_doc()
+    doc.index()
+    doc.sorted_triples()
+    assert doc == sample_doc()
+    assert repr(doc) == repr(sample_doc())
+
+
+def test_serializers_share_one_sort(monkeypatch):
+    doc = sample_doc()
+    calls = []
+    key = Triple.sort_key
+    monkeypatch.setattr(Triple, "sort_key", lambda t: calls.append(t) or key(t))
+    serialize_ntriples(doc)
+    serialize_turtle(doc)
+    assert len(calls) == len(doc.triples)
+    assert isinstance(doc.sorted_triples(), tuple)
+
+
+def test_one_index_per_document(base_doc, ground_truth, monkeypatch):
+    builds = []
+    init = rdf.KgIndex.__init__
+
+    def counting(self, doc):
+        builds.append(doc)
+        init(self, doc)
+
+    monkeypatch.setattr(rdf.KgIndex, "__init__", counting)
+    doc = KgDocument(dict(base_doc.prefixes), set(base_doc.triples))
+    findings, _ = detect_risks(doc)
+    analysis_report(doc)
+    evaluate_findings(findings, ground_truth, doc)
+    assert len(findings) >= 6
+    for finding in findings[:6]:
+        explain(finding, doc)
+    assert len(builds) == 1 and builds[0] is doc

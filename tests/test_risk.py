@@ -1,12 +1,15 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from vh2kg import risk
 from vh2kg import schema as S
-from vh2kg.rdf import KgIndex, parse_ntriples, serialize_ntriples
+from vh2kg.rdf import KgDocument, KgIndex, parse_ntriples, serialize_ntriples
 from vh2kg.risk import (R1, R2, RISK_TAXONOMY, _matches, detect_risks,
                         eval_rules_kg, eval_rules_trace, explain,
                         findings_from_json, findings_to_json)
+from vh2kg.synth import build_activity_kg
 
 
 def test_r1_strict_inequality():
@@ -114,3 +117,53 @@ def test_evidence_is_recorded(base_runs, affordance_table, property_table):
         else:
             assert ev["objectCenterY"] + ev["objectHeight"] / 2 < \
                 ev["agentCenterY"]
+
+
+class CountingIndex:
+    """Passes lookups through to an index and counts the subjects that
+    ``subjects`` hands back: the candidates a caller goes on to examine."""
+
+    def __init__(self, idx):
+        self.idx = idx
+        self.candidates = 0
+
+    def subjects(self, predicate, obj=None):
+        out = self.idx.subjects(predicate, obj)
+        self.candidates += len(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.idx, name)
+
+
+def test_kg_rules_scale_over_replicas(base_runs, affordance_table,
+                                      property_table, monkeypatch):
+    """Three replicas of the corpus share the agent IRI; each state lookup
+    still examines one situation's states, not the agent's in every
+    replica."""
+    doc, expected = KgDocument(), set()
+    for k in (1, 2, 3):
+        for trace, meta in base_runs:
+            meta = replace(meta, index=10 * k + meta.index)
+            build_activity_kg(trace, meta, affordance_table, property_table,
+                              doc=doc)
+            expected |= {(f.key(), f.activity_iri, f.agent_iri, f.object_iri)
+                         for f in eval_rules_trace(
+                             trace, meta, affordance_table=affordance_table,
+                             property_table=property_table)}
+    idx = doc.index()
+    assert len({idx.object(a, S.AGENT) for a in idx.subjects(S.HAS_EVENT)}) == 1
+
+    geometry, calls = risk._geometry, []
+
+    def counted(index, entity, situation):
+        probe = CountingIndex(index)
+        result = geometry(probe, entity, situation)
+        calls.append((probe.candidates, len(idx.subjects(S.PART_OF, situation))))
+        return result
+
+    monkeypatch.setattr(risk, "_geometry", counted)
+    found = {(f.key(), f.activity_iri, f.agent_iri, f.object_iri)
+             for f in eval_rules_kg(doc)}
+    assert len(expected) == 3 * 6 and found == expected
+    assert calls and all(n <= states for n, states in calls)

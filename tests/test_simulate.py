@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vh2kg.errors import Unexecutable
+from vh2kg.fixtures import load_fixture_environment
 from vh2kg.home import RelationEdge, load_environment
 from vh2kg.scripts import ActivityScript, ObjectRef, Step
 from vh2kg.simulate import (DurationModel, SimConfig, StepFailure,
                             check_executable, execute_step, initial_state,
-                            run_script)
+                            run_script, trace_to_json)
 
 
 def build_env(extra_nodes=(), extra_edges=()):
@@ -342,3 +343,18 @@ def test_incremental_relations_match_all_pairs(scene):
     except Unexecutable:
         return
     assert_matches_all_pairs(trace, cfg)
+
+
+def test_run_script_shares_initial_state(scripts, affordance_table):
+    env = load_fixture_environment()
+    first = run_script(scripts[0], env, affordance_table=affordance_table)
+    second = run_script(scripts[1], env, affordance_table=affordance_table)
+    assert second.situations[0] is first.situations[0]
+    assert first.situations[0] == initial_state(env)
+    other = run_script(scripts[0], env, cfg=SimConfig(close_threshold=3.0),
+                       affordance_table=affordance_table)
+    assert other.situations[0] == initial_state(env, SimConfig(close_threshold=3.0))
+    assert other.situations[0] != first.situations[0]
+    fresh = run_script(scripts[1], load_fixture_environment(),
+                       affordance_table=affordance_table)
+    assert trace_to_json(second) == trace_to_json(fresh)
