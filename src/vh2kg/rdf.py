@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import NTriplesSyntaxError
 
@@ -231,19 +232,17 @@ def parse_ntriples(text: str) -> KgDocument:
 
 
 def graph_stats(doc: KgDocument) -> dict:
-    """Entity / property / triple counts.
+    """Entity / property / triple counts, read from the shared index.
 
     Entities are distinct IRIs in subject or object position excluding
     schema-level constants (anything in an ontology namespace).
     """
-    entities = set()
-    predicates = set()
-    for t in doc.triples:
-        predicates.add(t.predicate)
-        for term in (t.subject, t.object):
-            if isinstance(term, str) and not term.startswith(SCHEMA_NAMESPACES):
-                entities.add(term)
-    return {"entities": len(entities), "properties": len(predicates),
+    idx = doc.index()
+    terms = set(map(attrgetter("object"), doc.triples))
+    terms.update(idx.by_subject)
+    entities = sum(1 for term in terms if isinstance(term, str)
+                   and not term.startswith(SCHEMA_NAMESPACES))
+    return {"entities": entities, "properties": len(idx.by_predicate),
             "triples": len(doc.triples)}
 
 

@@ -94,13 +94,16 @@ def state_indices(trace: Trace, node_id: int, affordance_table=None,
     current state node.  A new state is minted only when the object's
     (state tokens, bbox, afforded verbs) changed."""
     indices = []
-    prev_fp = None
+    prev_node = prev_fp = None
     for n, situation in enumerate(trace.situations):
         node = situation.graph.node(node_id)
+        if node is prev_node:  # shared unchanged by with_nodes
+            indices.append(indices[-1])
+            continue
         fp = (node.states, node.bbox,
               afforded_verbs(node, affordance_table, property_table))
         indices.append(n if fp != prev_fp else indices[-1])
-        prev_fp = fp
+        prev_node, prev_fp = node, fp
     return indices
 
 

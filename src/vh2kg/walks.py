@@ -54,24 +54,29 @@ def _token(term) -> str:
 
 
 class GraphView:
-    """Outgoing-edge adjacency over a document, with skip predicates removed."""
+    """Outgoing-edge adjacency over a document's shared index, with skip
+    predicates removed.  A node's sorted adjacency is built the first time
+    ``out`` asks for it, so a walk pays only for the nodes it steps on."""
 
     def __init__(self, doc: KgDocument, skip_predicates=frozenset()):
-        adj: dict[str, list] = {}
-        for t in doc.triples:
-            if t.predicate in skip_predicates:
-                continue
-            adj.setdefault(t.subject, []).append((t.predicate, _token(t.object),
-                                                  isinstance(t.object, str)))
-        # sorted adjacency keeps sampling deterministic under a seed
-        self.adj = {k: sorted(v) for k, v in adj.items()}
+        self.by_subject = doc.index().by_subject
+        self.skip_predicates = skip_predicates
+        self.adj: dict[str, list] = {}
 
     def out(self, node: str) -> list:
-        return self.adj.get(node, [])
+        edges = self.adj.get(node)
+        if edges is None:
+            skip = self.skip_predicates
+            # sorted adjacency keeps sampling deterministic under a seed
+            edges = self.adj[node] = sorted(
+                (t.predicate, _token(t.object), isinstance(t.object, str))
+                for t in self.by_subject.get(node, ())
+                if t.predicate not in skip)
+        return edges
 
 
 def activity_roots(doc: KgDocument) -> list[str]:
-    return sorted({t.subject for t in doc.triples if t.predicate == S.HAS_EVENT})
+    return sorted(set(doc.index().subjects(S.HAS_EVENT)))
 
 
 def _root_rng(seed: int, root: str) -> random.Random:
@@ -100,8 +105,8 @@ def _all_walks(view: GraphView, root: str, depth: int) -> list[list[str]]:
     results = []
 
     def rec(node, tokens, remaining, traversable):
-        out = view.out(node) if traversable else []
-        if remaining == 0 or not out:
+        out = view.out(node) if traversable and remaining else []
+        if not out:
             results.append(tokens)
             return
         for pred, obj, is_iri in out:
@@ -134,9 +139,12 @@ def wl_labelings(doc: KgDocument, iterations: int,
                  skip_predicates=frozenset()) -> list[dict]:
     """Per-iteration vertex label maps; iteration 0 is the identity."""
     view = GraphView(doc, skip_predicates)
-    vertices = set(view.adj)
-    for out in view.adj.values():
-        vertices.update(obj for _, obj, is_iri in out if is_iri)
+    vertices = set()
+    for subject in view.by_subject:  # every subject, unlike a walk
+        out = view.out(subject)
+        if out:
+            vertices.add(subject)
+            vertices.update(obj for _, obj, is_iri in out if is_iri)
     labels = {v: v for v in sorted(vertices)}
     maps = [labels]
     for _ in range(iterations):

@@ -14,6 +14,7 @@ from vh2kg.rdf import (RDF, XSD_DECIMAL, XSD_INT, XSD_STRING, KgDocument,
                        graph_stats, integer, parse_ntriples, serialize_ntriples,
                        serialize_turtle, string)
 from vh2kg.risk import detect_risks, explain
+from vh2kg.walks import WalkConfig, activity_roots, wl_relabel
 
 _ORACLE_RE = re.compile(
     r'^<([^>]*)> <([^>]*)> (?:<([^>]*)>|"((?:[^"\\]|\\.)*)"'
@@ -271,6 +272,8 @@ def test_serializers_share_one_sort(monkeypatch):
 
 
 def test_one_index_per_document(base_doc, ground_truth, monkeypatch):
+    """Risks, report, evaluation, explanations, roots and walks (WL
+    included) on one document share its one index."""
     builds = []
     init = rdf.KgIndex.__init__
 
@@ -286,4 +289,6 @@ def test_one_index_per_document(base_doc, ground_truth, monkeypatch):
     assert len(findings) >= 6
     for finding in findings[:6]:
         explain(finding, doc)
+    assert len(activity_roots(doc)) == 20
+    wl_relabel(doc, WalkConfig(depth=2, walks_per_entity=2, wl_iterations=1))
     assert len(builds) == 1 and builds[0] is doc

@@ -1,11 +1,16 @@
 """Structural invariants of the synthesized knowledge graphs."""
 
+from dataclasses import replace
+
 import pytest
 
 from vh2kg import schema as S
+from vh2kg import synth
 from vh2kg.errors import InvalidName
+from vh2kg.home import afforded_verbs
 from vh2kg.rdf import KgIndex, Literal
-from vh2kg.synth import IriFactory
+from vh2kg.simulate import SimulationState, Trace
+from vh2kg.synth import IriFactory, state_indices
 
 
 def activities(idx):
@@ -154,3 +159,46 @@ def test_total_event_count(idx):
 def test_scene_id_outside_iri_alphabet(scene):
     with pytest.raises(InvalidName):
         IriFactory("Carry box", 0, scene)
+
+
+def fingerprint_state_indices(trace, node_id, affordance_table=None,
+                              property_table=None):
+    """The fingerprint-every-situation loop that state_indices' identity
+    shortcut replaced; kept as its oracle."""
+    indices, prev_fp = [], None
+    for n, situation in enumerate(trace.situations):
+        node = situation.graph.node(node_id)
+        fp = (node.states, node.bbox,
+              afforded_verbs(node, affordance_table, property_table))
+        indices.append(n if fp != prev_fp else indices[-1])
+        prev_fp = fp
+    return indices
+
+
+def test_state_indices_match_fingerprint_oracle(base_runs, affordance_table,
+                                                property_table):
+    for trace, _ in base_runs:
+        for node in trace.situations[0].graph.nodes:
+            assert state_indices(trace, node.id, affordance_table,
+                                 property_table) == fingerprint_state_indices(
+                trace, node.id, affordance_table, property_table)
+
+
+def test_state_indices_reuse_equal_but_distinct_nodes(base_runs, monkeypatch):
+    trace = base_runs[0][0]
+    g0 = trace.situations[0].graph
+    node = next(n for n in g0.nodes if not n.is_room and not n.is_agent)
+    g2 = g0.with_nodes({node.id: replace(node)})          # equal, distinct
+    g3 = g2.with_nodes({node.id: replace(node, states=node.states | {"OPEN"})})
+    g5 = g3.with_nodes({node.id: replace(node)})          # back, distinct
+    graphs = (g0, g0, g2, g3, g3, g5)
+    assert g2.node(node.id) == node and g2.node(node.id) is not node
+    edited = Trace(trace.script, tuple(SimulationState(g) for g in graphs), ())
+
+    calls = []
+    monkeypatch.setattr(synth, "afforded_verbs",
+                        lambda n, *a: calls.append(n) or afforded_verbs(n, *a))
+    assert state_indices(edited, node.id) == [0, 0, 0, 3, 3, 5]
+    assert fingerprint_state_indices(edited, node.id) == [0, 0, 0, 3, 3, 5]
+    # one fingerprint per distinct node object in a row: g0, g2, g3, g5
+    assert len(calls) == 4

@@ -1,9 +1,15 @@
+import hashlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vh2kg import rdf, walks
+from vh2kg import schema as S
 from vh2kg.errors import NoRoots
-from vh2kg.rdf import KgDocument, Literal, integer, string
+from vh2kg.rdf import (SCHEMA_NAMESPACES, KgDocument, Literal, graph_stats,
+                       integer, string)
 from vh2kg.walks import (DEFAULT_SKIP_PREDICATES, WalkConfig, extract_walks,
                          wl_labelings, wl_relabel)
 
@@ -147,3 +153,119 @@ def test_wl_relabel_union_size():
         for i, tok in enumerate(seq):
             if i % 2 == 1:
                 assert tok.startswith(P)
+
+
+# --- oracles for the index-backed views ---
+
+class EagerGraphView:
+    """The GraphView that built and sorted every subject's adjacency up
+    front; kept as the oracle of the lazy one."""
+
+    def __init__(self, doc, skip_predicates=frozenset()):
+        adj = {}
+        for t in doc.triples:
+            if t.predicate in skip_predicates:
+                continue
+            obj = t.object.lexical if isinstance(t.object, Literal) else t.object
+            adj.setdefault(t.subject, []).append(
+                (t.predicate, obj, isinstance(t.object, str)))
+        self.adj = {k: sorted(v) for k, v in adj.items()}
+
+    def out(self, node):
+        return self.adj.get(node, [])
+
+
+def eager_wl_labelings(doc, iterations, skip_predicates=frozenset()):
+    view = EagerGraphView(doc, skip_predicates)
+    vertices = set(view.adj)
+    for out in view.adj.values():
+        vertices.update(obj for _, obj, is_iri in out if is_iri)
+    maps = [{v: v for v in sorted(vertices)}]
+    for _ in range(iterations):
+        prev, nxt = maps[-1], {}
+        for v in prev:
+            neighborhood = sorted((pred, prev.get(obj, obj))
+                                  for pred, obj, is_iri in view.out(v))
+            digest = hashlib.md5(repr((prev[v], neighborhood)).encode()).hexdigest()
+            nxt[v] = "wl-" + digest[:16]
+        maps.append(nxt)
+    return maps
+
+
+def scan_graph_stats(doc):
+    """graph_stats as one pass over every triple; the oracle of the
+    index-backed version."""
+    entities, predicates = set(), set()
+    for t in doc.triples:
+        predicates.add(t.predicate)
+        for term in (t.subject, t.object):
+            if isinstance(term, str) and not term.startswith(SCHEMA_NAMESPACES):
+                entities.add(term)
+    return {"entities": len(entities), "properties": len(predicates),
+            "triples": len(doc.triples)}
+
+
+_NODES = [N + c for c in "abcde"]
+_SKIPPED = P + "skip"
+_PREDS = [P + "x", P + "y", _SKIPPED]
+# Objects include schema-namespace IRIs and literals whose lexical form
+# equals a node IRI, so a view must tell an IRI from a literal.
+_OBJS = _NODES + [S.ACTIVITY, S.RDF_NIL, string(_NODES[0]),
+                  Literal(_NODES[1], rdf.XSD_INT), integer(1), string("1")]
+_rows = st.lists(st.tuples(st.sampled_from(_NODES), st.sampled_from(_PREDS),
+                           st.sampled_from(_OBJS)), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows, st.sampled_from(_NODES))
+def test_lazy_view_matches_eager_oracle(rows, root):
+    doc = KgDocument()
+    # "e" has edges, all skipped; it must be no WL vertex unless an object
+    doc.add(N + "e", _SKIPPED, N + "a")
+    for row in rows:
+        doc.add(*row)
+    skip = frozenset({_SKIPPED})
+    view, oracle = walks.GraphView(doc, skip), EagerGraphView(doc, skip)
+    for node in _NODES + [S.ACTIVITY, "unknown"]:
+        assert view.out(node) == oracle.out(node)
+    assert wl_labelings(doc, 2, skip) == eager_wl_labelings(doc, 2, skip)
+    assert graph_stats(doc) == scan_graph_stats(doc)
+
+    configs = [WalkConfig(depth=3, wl_iterations=0, exhaustive=True,
+                          roots=(root,), skip_predicates=skip),
+               WalkConfig(depth=4, walks_per_entity=5, wl_iterations=0,
+                          roots=tuple(_NODES), skip_predicates=skip, seed=3)]
+    lazy = [extract_walks(doc, cfg).sequences for cfg in configs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "GraphView", EagerGraphView)
+        eager = [extract_walks(doc, cfg).sequences for cfg in configs]
+    assert lazy == eager
+
+
+def test_corpus_walks_and_stats_match_oracles(base_doc, monkeypatch):
+    cfg = WalkConfig(depth=4, walks_per_entity=3, wl_iterations=0, seed=5)
+    lazy = extract_walks(base_doc, cfg).sequences
+    assert graph_stats(base_doc) == scan_graph_stats(base_doc)
+    monkeypatch.setattr(walks, "GraphView", EagerGraphView)
+    assert extract_walks(base_doc, cfg).sequences == lazy
+
+
+def test_walk_builds_only_visited_adjacency(monkeypatch):
+    views = []
+
+    class Recorded(walks.GraphView):
+        def __init__(self, *args):
+            super().__init__(*args)
+            views.append(self)
+
+    monkeypatch.setattr(walks, "GraphView", Recorded)
+    doc = toy_doc()
+    extract_walks(doc, WalkConfig(depth=1, walks_per_entity=10, wl_iterations=0,
+                                  roots=(N + "a",)))
+    assert list(views[0].adj) == [N + "a"]
+    exhaustive = extract_walks(doc, WalkConfig(
+        depth=2, wl_iterations=0, exhaustive=True, roots=(N + "a",)))
+    visited = {seq[i] for seq in exhaustive.sequences
+               for i in range(0, len(seq) - 1, 2)}
+    assert set(views[1].adj) == visited == {N + "a", N + "b", N + "c", N + "d"}
+
