@@ -7,9 +7,13 @@ documents always produce byte-identical output.
 
 from __future__ import annotations
 
+import gc
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import NTriplesSyntaxError
 
@@ -48,14 +52,14 @@ XSD_INT = XSD + "int"
 XSD_DECIMAL = XSD + "decimal"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Literal:
+class Literal(NamedTuple):
     lexical: str
     datatype: str = XSD_STRING
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(NamedTuple):
+    """One statement.  Equal to, and hashed like, the plain tuple
+    ``(subject, predicate, object)``; hashing and equality run in C."""
     subject: str
     predicate: str
     object: object  # str (IRI) or Literal
@@ -66,16 +70,47 @@ class Triple:
         return (self.subject, self.predicate, okey)
 
 
+@contextmanager
+def _paused_gc():
+    """Switch off cyclic garbage collection while a bulk builder runs.
+
+    The builders make only acyclic objects (strings, tuples, and lists and
+    dicts of them), so a collection finds nothing, yet one runs for about
+    every 700 new tuples, lists or dicts.  The earlier state is restored on exit, so a caller's
+    own ``gc.disable()`` stays in force; nothing is collected here.  This
+    stands in for plain-tuple triples, which CPython stops tracking, until
+    the benchmark reads triples by position instead of by attribute.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def integer(value: int) -> Literal:
     return Literal(str(int(value)), XSD_INT)
 
 
-def decimal(value: float, places: int = 9) -> Literal:
+def _fixed_point(value: float, places: int) -> Literal:
     # Fixed-point lexical form keeps serialization byte-stable.
     lex = f"{value:.{places}f}".rstrip("0")
     if lex.endswith("."):
         lex += "0"
     return Literal(lex, XSD_DECIMAL)
+
+
+_cached_fixed_point = lru_cache(maxsize=1 << 14)(_fixed_point)
+
+
+def decimal(value: float, places: int = 9) -> Literal:
+    # One object per repeated value.  0.0 and -0.0 are one cache key but
+    # print "0.0" and "-0.0", so zero bypasses the cache.
+    if value:
+        return _cached_fixed_point(value, places)
+    return _fixed_point(value, places)
 
 
 def string(value: str) -> Literal:
@@ -86,10 +121,10 @@ def string(value: str) -> Literal:
 class KgDocument:
     """A triple set plus a prefix table.
 
-    ``index()`` and ``sorted_triples()`` are views cached on the document.
-    ``add`` and ``update`` drop them; a direct edit of ``triples`` is seen
-    only when it replaces the set or changes its size, so mutate through
-    ``add`` and ``update``.
+    ``index()``, ``sorted_triples()`` and ``graph_stats(doc)`` are views
+    cached on the document.  ``add``, ``add_all`` and ``update`` drop them;
+    a direct edit of ``triples`` is seen only when it replaces the set or
+    changes its size, so mutate through those three.
     """
     prefixes: dict = field(default_factory=lambda: dict(PREFIXES))
     triples: set = field(default_factory=set)
@@ -101,6 +136,11 @@ class KgDocument:
         if self._views:
             self._views.clear()
 
+    def add_all(self, triples) -> None:
+        """Add many ``Triple``s with one set update."""
+        self.triples.update(triples)
+        self._views.clear()
+
     def update(self, other: "KgDocument") -> None:
         self.triples |= other.triples
         self._views.clear()
@@ -111,7 +151,8 @@ class KgDocument:
         triples = self.triples
         entry = self._views.get(name)
         if entry is None or entry[0] is not triples or entry[1] != len(triples):
-            entry = self._views[name] = (triples, len(triples), build())
+            with _paused_gc():
+                entry = self._views[name] = (triples, len(triples), build())
         return entry[2]
 
     def index(self) -> "KgIndex":
@@ -214,29 +255,45 @@ _NT_LINE = re.compile(
 
 
 def parse_ntriples(text: str) -> KgDocument:
-    """Parse N-Triples text back into a KgDocument (IRIs and typed literals)."""
-    doc = KgDocument()
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _NT_LINE.match(line)
-        if not m:
-            raise NTriplesSyntaxError(f"line {line_no}: cannot parse {line!r}")
-        s, p, o_iri, o_lex, o_dt = m.groups()
-        if o_iri is not None:
-            doc.add(s, p, o_iri)
-        else:
-            doc.add(s, p, Literal(_unescape(o_lex, line_no), o_dt or XSD_STRING))
-    return doc
+    """Parse N-Triples text back into a KgDocument (IRIs and typed literals).
+
+    Each distinct IRI and each distinct literal becomes one object, however
+    often it recurs."""
+    iris: dict[str, str] = {}
+    literals: dict[tuple, Literal] = {}
+    triples = []
+    with _paused_gc():
+        for line_no, line in enumerate(text.split("\n"), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            m = _NT_LINE.match(line)
+            if not m:
+                raise NTriplesSyntaxError(f"line {line_no}: cannot parse {line!r}")
+            s, p, o_iri, o_lex, o_dt = m.groups()
+            if o_iri is not None:
+                o = iris.setdefault(o_iri, o_iri)
+            else:
+                dt = iris.setdefault(o_dt, o_dt) if o_dt else XSD_STRING
+                key = (_unescape(o_lex, line_no), dt)
+                o = literals.get(key)
+                if o is None:
+                    o = literals[key] = Literal(*key)
+            triples.append(Triple(iris.setdefault(s, s), iris.setdefault(p, p), o))
+        return KgDocument(triples=set(triples))
 
 
 def graph_stats(doc: KgDocument) -> dict:
     """Entity / property / triple counts, read from the shared index.
 
     Entities are distinct IRIs in subject or object position excluding
-    schema-level constants (anything in an ontology namespace).
+    schema-level constants (anything in an ontology namespace).  Counted
+    once per document version; each call returns its own copy.
     """
+    return dict(doc._view("stats", lambda: _count_graph(doc)))
+
+
+def _count_graph(doc: KgDocument) -> dict:
     idx = doc.index()
     terms = set(map(attrgetter("object"), doc.triples))
     terms.update(idx.by_subject)
@@ -289,4 +346,4 @@ class KgIndex:
         return list(table.get(obj, ()))
 
     def has(self, s, p, o) -> bool:
-        return Triple(s, p, o) in self.triples
+        return (s, p, o) in self.triples

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import schema as S
 from .errors import InvalidTrace, UnknownProperty
 from .home import ObjectNode, afforded_verbs, check_name, classify_property
-from .rdf import EX, KgDocument, decimal, integer, string
+from .rdf import EX, KgDocument, Triple, _paused_gc, decimal, integer, string
 from .simulate import Trace
 
 
@@ -79,12 +79,12 @@ def _node_iri(factory: IriFactory, node: ObjectNode) -> str:
     return factory.agent() if node.is_agent else factory.object(node)
 
 
-def _emit_collection(doc: KgDocument, base: str, values) -> str:
+def _emit_collection(add, base: str, values) -> str:
     """Ordered 3-element RDF collection with deterministic cell IRIs."""
     cells = [f"{base}_cell{i}" for i in range(len(values))]
     for i, (cell, value) in enumerate(zip(cells, values)):
-        doc.add(cell, S.RDF_FIRST, decimal(value))
-        doc.add(cell, S.RDF_REST, cells[i + 1] if i + 1 < len(values) else S.RDF_NIL)
+        add(cell, S.RDF_FIRST, decimal(value))
+        add(cell, S.RDF_REST, cells[i + 1] if i + 1 < len(values) else S.RDF_NIL)
     return cells[0]
 
 
@@ -114,102 +114,118 @@ def build_activity_kg(trace: Trace, meta: ActivityMeta,
         raise InvalidTrace("trace must carry one more situation than transitions")
     if doc is None:
         doc = KgDocument()
+    triples = []
+    append = triples.append
+
+    def add(s, p, o):
+        append(Triple(s, p, o))
+
+    with _paused_gc():
+        _emit_activity(add, trace, meta, affordance_table, property_table)
+        doc.add_all(triples)
+    return doc
+
+
+def _emit_activity(add, trace: Trace, meta: ActivityMeta, affordance_table,
+                   property_table) -> None:
     f = IriFactory.for_meta(meta)
     activity = f.activity()
     agent_iri = f.agent()
     n_events = len(trace.transitions)
+    # one string per event and situation IRI, however many triples name it
+    events = [f.event(n) for n in range(n_events)]
+    situations = [f.situation(n) for n in range(len(trace.situations))]
 
     category_class = S.CATEGORY_CLASSES.get(meta.category, S.CATEGORY_CLASSES["Other"])
-    doc.add(activity, S.RDF_TYPE, category_class)
-    doc.add(activity, S.RDF_TYPE, S.ACTIVITY)
-    doc.add(category_class, S.RDFS_SUBCLASS, S.ACTIVITY)
-    doc.add(activity, S.RDFS_LABEL, string(meta.name))
+    add(activity, S.RDF_TYPE, category_class)
+    add(activity, S.RDF_TYPE, S.ACTIVITY)
+    add(category_class, S.RDFS_SUBCLASS, S.ACTIVITY)
+    add(activity, S.RDFS_LABEL, string(meta.name))
     if meta.description:
-        doc.add(activity, S.RDFS_COMMENT, string(meta.description))
-    doc.add(activity, S.AGENT, agent_iri)
-    doc.add(activity, S.VIRTUAL_HOME, f.scene_iri())
+        add(activity, S.RDFS_COMMENT, string(meta.description))
+    add(activity, S.AGENT, agent_iri)
+    add(activity, S.VIRTUAL_HOME, f.scene_iri())
     # round per-event durations first so the stored total is exactly their
     # sum even after fixed-point serialization
     rounded = [round(tr.duration_seconds, 9) for tr in trace.transitions]
-    doc.add(activity, S.TIME_PROP, decimal(sum(rounded)))
-    doc.add(agent_iri, S.RDF_TYPE, S.CHARACTER)
+    add(activity, S.TIME_PROP, decimal(sum(rounded)))
+    add(agent_iri, S.RDF_TYPE, S.CHARACTER)
 
     # events
     for n, tr in enumerate(trace.transitions):
-        ev = f.event(n)
-        doc.add(activity, S.HAS_EVENT, ev)
-        doc.add(ev, S.RDF_TYPE, S.EVENT)
+        ev = events[n]
+        add(activity, S.HAS_EVENT, ev)
+        add(ev, S.RDF_TYPE, S.EVENT)
         if n == n_events - 1:
-            doc.add(ev, S.RDF_TYPE, S.END_EVENT)
-        doc.add(ev, S.EVENT_NUMBER, integer(n))
-        doc.add(ev, S.ACTION, S.action_iri(tr.step.verb))
-        doc.add(ev, S.AGENT, agent_iri)
+            add(ev, S.RDF_TYPE, S.END_EVENT)
+        add(ev, S.EVENT_NUMBER, integer(n))
+        add(ev, S.ACTION, S.action_iri(tr.step.verb))
+        add(ev, S.AGENT, agent_iri)
         env0 = trace.situations[0].graph
         if tr.step.main_object is not None:
-            doc.add(ev, S.MAIN_OBJECT, _node_iri(f, env0.node(tr.step.main_object.id)))
+            add(ev, S.MAIN_OBJECT, _node_iri(f, env0.node(tr.step.main_object.id)))
         if tr.step.target_object is not None:
-            doc.add(ev, S.TARGET_OBJECT, _node_iri(f, env0.node(tr.step.target_object.id)))
+            add(ev, S.TARGET_OBJECT, _node_iri(f, env0.node(tr.step.target_object.id)))
         if n > 0:
-            doc.add(ev, S.PREVIOUS_EVENT, f.event(n - 1))
+            add(ev, S.PREVIOUS_EVENT, events[n - 1])
         if n < n_events - 1:
-            doc.add(ev, S.NEXT_EVENT, f.event(n + 1))
-        doc.add(ev, S.SITUATION_BEFORE, f.situation(n))
-        doc.add(ev, S.SITUATION_AFTER, f.situation(n + 1))
-        doc.add(ev, S.TIME_PROP, decimal(rounded[n]))
+            add(ev, S.NEXT_EVENT, events[n + 1])
+        add(ev, S.SITUATION_BEFORE, situations[n])
+        add(ev, S.SITUATION_AFTER, situations[n + 1])
+        add(ev, S.TIME_PROP, decimal(rounded[n]))
         if tr.start_room_id == tr.end_room_id:
-            doc.add(ev, S.PLACE, f.object(env0.node(tr.end_room_id)))
+            add(ev, S.PLACE, f.object(env0.node(tr.end_room_id)))
         else:
-            doc.add(ev, S.FROM, f.object(env0.node(tr.start_room_id)))
-            doc.add(ev, S.TO, f.object(env0.node(tr.end_room_id)))
+            add(ev, S.FROM, f.object(env0.node(tr.start_room_id)))
+            add(ev, S.TO, f.object(env0.node(tr.end_room_id)))
 
     # situations
-    for n in range(len(trace.situations)):
-        doc.add(f.situation(n), S.RDF_TYPE, S.SITUATION)
+    for situation in situations:
+        add(situation, S.RDF_TYPE, S.SITUATION)
 
     # objects, states, shapes
     env0 = trace.situations[0].graph
     for node in env0.nodes:
         iri = _node_iri(f, node)
-        doc.add(iri, S.RDF_TYPE, S.HO + node.class_name)
+        add(iri, S.RDF_TYPE, S.HO + node.class_name)
         if node.is_room:
-            doc.add(iri, S.RDF_TYPE, S.ROOM)
+            add(iri, S.RDF_TYPE, S.ROOM)
             continue
         height_iri = f.height(node)
-        doc.add(iri, S.HEIGHT, height_iri)
-        doc.add(height_iri, S.RDF_VALUE, decimal(node.height_meters))
+        add(iri, S.HEIGHT, height_iri)
+        add(height_iri, S.RDF_VALUE, decimal(node.height_meters))
         for verb in sorted(afforded_verbs(node, affordance_table, property_table)):
-            doc.add(iri, S.AFFORDS, S.action_iri(verb))
+            add(iri, S.AFFORDS, S.action_iri(verb))
         for tok in sorted(node.properties):
             try:
                 kind, _ = classify_property(tok, property_table)
             except UnknownProperty:
                 kind = "Attribute"
             if kind == "Attribute":
-                doc.add(iri, S.ATTRIBUTE, S.VH2KG + tok)
+                add(iri, S.ATTRIBUTE, S.VH2KG + tok)
 
         prev_state_iri = None
         for n, minted in enumerate(state_indices(trace, node.id, affordance_table,
                                                  property_table)):
             if minted != n:
-                doc.add(prev_state_iri, S.PART_OF, f.situation(n))
+                add(prev_state_iri, S.PART_OF, situations[n])
                 continue
             current = trace.situations[n].graph.node(node.id)
             state_iri = f.state(n, node)
-            doc.add(state_iri, S.RDF_TYPE, S.STATE)
-            doc.add(state_iri, S.IS_STATE_OF, iri)
-            doc.add(state_iri, S.PART_OF, f.situation(n))
+            add(state_iri, S.RDF_TYPE, S.STATE)
+            add(state_iri, S.IS_STATE_OF, iri)
+            add(state_iri, S.PART_OF, situations[n])
             for tok in sorted(current.states):
-                doc.add(state_iri, S.STATE_PROP, S.VH2KG + tok)
-                doc.add(S.VH2KG + tok, S.RDF_TYPE, S.STATE_TYPE)
+                add(state_iri, S.STATE_PROP, S.VH2KG + tok)
+                add(S.VH2KG + tok, S.RDF_TYPE, S.STATE_TYPE)
             shape_iri = f.shape(n, node)
-            doc.add(state_iri, S.BBOX, shape_iri)
-            doc.add(shape_iri, S.RDF_TYPE, S.SHAPE)
-            doc.add(shape_iri, S.BBOX_CENTER,
-                    _emit_collection(doc, f"{shape_iri}_center", current.bbox.center))
-            doc.add(shape_iri, S.BBOX_SIZE,
-                    _emit_collection(doc, f"{shape_iri}_size", current.bbox.size))
+            add(state_iri, S.BBOX, shape_iri)
+            add(shape_iri, S.RDF_TYPE, S.SHAPE)
+            add(shape_iri, S.BBOX_CENTER,
+                _emit_collection(add, f"{shape_iri}_center", current.bbox.center))
+            add(shape_iri, S.BBOX_SIZE,
+                _emit_collection(add, f"{shape_iri}_size", current.bbox.size))
             if prev_state_iri is not None:
-                doc.add(prev_state_iri, S.NEXT_STATE, state_iri)
-                doc.add(state_iri, S.PREVIOUS_STATE, prev_state_iri)
+                add(prev_state_iri, S.NEXT_STATE, state_iri)
+                add(state_iri, S.PREVIOUS_STATE, prev_state_iri)
             prev_state_iri = state_iri
-    return doc

@@ -5,6 +5,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+from vh2kg import rdf
 from vh2kg import schema as S
 from vh2kg.cli import main
 from vh2kg.fixtures import fixture_path
@@ -77,3 +78,15 @@ def test_seed_reaches_every_stage(tmp_path):
     assert main(["pipeline", "--config", str(config), "--seed", "13",
                  "-o", str(tmp_path / "cli")]) == 0
     assert outputs(tmp_path / "cli") == outputs(tmp_path / "13")
+
+
+def test_stats_counted_once_per_run(tmp_path, monkeypatch):
+    counts = []
+    count_graph = rdf._count_graph
+    monkeypatch.setattr(rdf, "_count_graph",
+                        lambda doc: counts.append(doc) or count_graph(doc))
+    run_pipeline(small_config(output_dir=str(tmp_path), **FILES))
+    report = json.loads((tmp_path / "report.json").read_text())
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    assert stats == report["stats"] and stats["triples"] > 20000
+    assert len(counts) == 1

@@ -165,6 +165,21 @@ def test_graph_stats_excludes_schema_iris():
     assert stats["entities"] == 1  # the class IRI does not count
 
 
+def test_graph_stats_is_a_cached_copy(monkeypatch):
+    counts = []
+    count_graph = rdf._count_graph
+    monkeypatch.setattr(rdf, "_count_graph",
+                        lambda doc: counts.append(doc) or count_graph(doc))
+    doc = sample_doc()
+    stats = graph_stats(doc)
+    stats["triples"] = -1
+    assert graph_stats(doc)["triples"] == 4
+    assert len(counts) == 1
+    doc.add("http://x/c", "http://x/p", "http://x/a")
+    assert graph_stats(doc) == {"entities": 3, "properties": 4, "triples": 5}
+    assert len(counts) == 2
+
+
 def test_index_lookups(base_doc):
     idx = KgIndex(base_doc)
     activity = "http://example.org/virtualhome2kg/instance/carry_box0_scene1"
