@@ -3,14 +3,12 @@ through what comes out: per-step durations, changed objects, and the final
 snapshot of the environment."""
 
 from vh2kg.fixtures import (fixture_path, load_fixture_affordance_table,
-                            load_fixture_environment,
-                            load_fixture_property_table)
+                            load_fixture_environment)
 from vh2kg.scripts import parse_script
 from vh2kg.simulate import run_script
 
 env = load_fixture_environment()
 affordances = load_fixture_affordance_table()
-properties = load_fixture_property_table()
 
 text = fixture_path("scripts", "find_some_foods.txt").read_text()
 script = parse_script(text, category="FoodPreparation")
@@ -18,8 +16,7 @@ script = parse_script(text, category="FoodPreparation")
 print(f"activity: {script.name} ({len(script.steps)} steps)")
 print(f"  {script.description}")
 
-trace = run_script(script, env, affordance_table=affordances,
-                   property_table=properties)
+trace = run_script(script, env, affordance_table=affordances)
 
 print(f"\nexecuted in {trace.total_seconds:.1f} simulated seconds")
 for tr in trace.transitions:

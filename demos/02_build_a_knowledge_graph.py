@@ -4,8 +4,7 @@ state node with its 3D shape."""
 
 from vh2kg import schema as S
 from vh2kg.fixtures import (fixture_path, load_fixture_affordance_table,
-                            load_fixture_environment,
-                            load_fixture_property_table)
+                            load_fixture_environment)
 from vh2kg.rdf import graph_stats, serialize_turtle
 from vh2kg.scripts import parse_script
 from vh2kg.simulate import run_script
@@ -13,15 +12,13 @@ from vh2kg.synth import ActivityMeta, build_activity_kg
 
 env = load_fixture_environment()
 affordances = load_fixture_affordance_table()
-properties = load_fixture_property_table()
 
 script = parse_script(fixture_path("scripts", "carry_box.txt").read_text(),
                       category="HouseArrangement")
-trace = run_script(script, env, affordance_table=affordances,
-                   property_table=properties)
+trace = run_script(script, env, affordance_table=affordances)
 meta = ActivityMeta(name=script.name, category=script.category,
                     description=script.description)
-doc = build_activity_kg(trace, meta, affordances, properties)
+doc = build_activity_kg(trace, meta, affordances)
 
 print("graph statistics:", graph_stats(doc))
 

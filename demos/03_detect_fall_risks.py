@@ -12,7 +12,6 @@ from vh2kg.analytics import all_event_iris, confusion, prf1
 from vh2kg.fixtures import (load_fixture_affordance_table,
                             load_fixture_environment,
                             load_fixture_ground_truth,
-                            load_fixture_property_table,
                             load_fixture_scripts)
 from vh2kg.rdf import KgDocument
 from vh2kg.risk import detect_risks, explain
@@ -21,15 +20,13 @@ from vh2kg.synth import ActivityMeta, build_activity_kg
 
 env = load_fixture_environment()
 affordances = load_fixture_affordance_table()
-properties = load_fixture_property_table()
 
 doc = KgDocument()
 for script in load_fixture_scripts():
-    trace = run_script(script, env, affordance_table=affordances,
-                       property_table=properties)
+    trace = run_script(script, env, affordance_table=affordances)
     meta = ActivityMeta(name=script.name, category=script.category,
                         description=script.description)
-    build_activity_kg(trace, meta, affordances, properties, doc=doc)
+    build_activity_kg(trace, meta, affordances, doc=doc)
 
 findings, augmented = detect_risks(doc)
 print(f"{len(findings)} risk events found:")

@@ -6,7 +6,6 @@ import numpy as np
 from vh2kg.cluster import KMeansConfig, kmeans
 from vh2kg.fixtures import (load_fixture_affordance_table,
                             load_fixture_environment,
-                            load_fixture_property_table,
                             load_fixture_scripts)
 from vh2kg.rdf import KgDocument
 from vh2kg.simulate import run_script
@@ -16,15 +15,13 @@ from vh2kg.walks import WalkConfig, activity_roots, wl_relabel
 
 env = load_fixture_environment()
 affordances = load_fixture_affordance_table()
-properties = load_fixture_property_table()
 
 doc = KgDocument()
 for script in load_fixture_scripts():
-    trace = run_script(script, env, affordance_table=affordances,
-                       property_table=properties)
+    trace = run_script(script, env, affordance_table=affordances)
     build_activity_kg(trace,
                       ActivityMeta(name=script.name, category=script.category),
-                      affordances, properties, doc=doc)
+                      affordances, doc=doc)
 
 corpus = wl_relabel(doc, WalkConfig(depth=4, walks_per_entity=50,
                                     wl_iterations=0, seed=0))

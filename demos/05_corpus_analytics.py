@@ -4,7 +4,6 @@ or change state the most, and how long each activity takes."""
 from vh2kg import analytics
 from vh2kg.fixtures import (load_fixture_affordance_table,
                             load_fixture_environment,
-                            load_fixture_property_table,
                             load_fixture_scripts)
 from vh2kg.rdf import KgDocument, graph_stats
 from vh2kg.simulate import run_script
@@ -12,16 +11,14 @@ from vh2kg.synth import ActivityMeta, build_activity_kg
 
 env = load_fixture_environment()
 affordances = load_fixture_affordance_table()
-properties = load_fixture_property_table()
 
 doc = KgDocument()
 for script in load_fixture_scripts():
-    trace = run_script(script, env, affordance_table=affordances,
-                       property_table=properties)
+    trace = run_script(script, env, affordance_table=affordances)
     build_activity_kg(trace,
                       ActivityMeta(name=script.name, category=script.category,
                                    description=script.description),
-                      affordances, properties, doc=doc)
+                      affordances, doc=doc)
 
 print("corpus:", graph_stats(doc))
 

@@ -11,7 +11,7 @@ from .errors import (MalformedStep, MissingGeometry, Unexecutable,
 from .home import (BoundingBox, EnvironmentGraph, ObjectNode, RelationEdge,
                    afforded_verbs, dump_environment, filter_affordances,
                    load_environment, load_environment_file,
-                   load_property_table, read_affordance_csv)
+                   read_affordance_csv)
 from .rdf import (KgDocument, KgIndex, Literal, Triple, graph_stats,
                   parse_ntriples, serialize_ntriples, serialize_turtle)
 from .risk import (RiskFinding, detect_risks, eval_rules_kg, eval_rules_trace,

@@ -20,8 +20,7 @@ import numpy as np
 from . import analytics, risk
 from .cluster import KMeansConfig, kmeans
 from .errors import VH2KGError
-from .home import (filter_affordances, load_environment_file,
-                   load_property_table, read_affordance_csv)
+from .home import filter_affordances, load_environment_file, read_affordance_csv
 from .pipeline import PipelineConfig, evaluate_findings, run_pipeline
 from .rdf import parse_ntriples, graph_stats, serialize_ntriples, serialize_turtle
 from .scripts import parse_script, serialize_script, validate_vocabulary
@@ -38,15 +37,10 @@ def _read_graph(path):
     return parse_ntriples(Path(path).read_text(encoding="utf-8"))
 
 
-def _load_tables(args):
-    affordance = None
-    if getattr(args, "affordances", None):
-        affordance = filter_affordances(read_affordance_csv(args.affordances),
-                                        getattr(args, "threshold", 4.0))
-    props = None
-    if getattr(args, "properties", None):
-        props = load_property_table(args.properties)
-    return affordance, props
+def _load_affordances(args):
+    if not args.affordances:
+        return None
+    return filter_affordances(read_affordance_csv(args.affordances), args.threshold)
 
 
 def _load_script(args):
@@ -57,11 +51,11 @@ def _load_script(args):
 def _simulate(args):
     script = _load_script(args)
     env = load_environment_file(args.environment)
-    affordance, props = _load_tables(args)
+    affordance = _load_affordances(args)
     mode = "repair" if args.repair else "strict"
     trace = run_script(script, env, DurationModel(), mode,
-                       affordance_table=affordance, property_table=props)
-    return script, trace, affordance, props
+                       affordance_table=affordance)
+    return script, trace, affordance
 
 
 def cmd_parse(args):
@@ -85,7 +79,7 @@ def cmd_parse(args):
 
 
 def cmd_simulate(args):
-    script, trace, _, _ = _simulate(args)
+    script, trace, _ = _simulate(args)
     payload = trace_to_json(trace)
     if not args.full:
         payload.pop("situations")
@@ -99,9 +93,8 @@ def cmd_simulate(args):
 def cmd_check(args):
     script = _load_script(args)
     env = load_environment_file(args.environment)
-    affordance, props = _load_tables(args)
-    report = check_executable(script, env, affordance_table=affordance,
-                              property_table=props)
+    report = check_executable(script, env,
+                              affordance_table=_load_affordances(args))
     json.dump({"executable": report.executable,
                "failing_step_index": report.failing_step_index,
                "reason": report.reason, "detail": report.detail},
@@ -111,11 +104,11 @@ def cmd_check(args):
 
 
 def cmd_build_kg(args):
-    _, trace, affordance, props = _simulate(args)
+    _, trace, affordance = _simulate(args)
     meta = ActivityMeta(name=trace.script.name, category=trace.script.category,
                         description=trace.script.description,
                         scene_id=args.scene, index=args.index)
-    doc = build_activity_kg(trace, meta, affordance, props)
+    doc = build_activity_kg(trace, meta, affordance)
     render = serialize_turtle if args.format == "ttl" else serialize_ntriples
     sys.stdout.write(render(doc))
     return 0
@@ -141,7 +134,8 @@ def cmd_detect_risk(args):
 
 def cmd_explain(args):
     doc = _read_graph(args.graph)
-    findings = risk.findings_from_json(Path(args.findings).read_text())
+    findings = risk.findings_from_json(
+        Path(args.findings).read_text(encoding="utf-8"))
     wanted = [f for f in findings if f.event_iri == args.event
               and (args.rule is None or f.rule_id == args.rule)]
     if not wanted:
@@ -182,7 +176,7 @@ def cmd_embed(args):
 
 
 def cmd_neighbors(args):
-    tokens, matrix = parse_vectors(Path(args.vectors).read_text())
+    tokens, matrix = parse_vectors(Path(args.vectors).read_text(encoding="utf-8"))
     from .skipgram import EmbeddingModel
     model = EmbeddingModel(list(tokens), matrix, np.zeros_like(matrix))
     for token, score in cosine_neighbors(model, args.token, args.n):
@@ -191,7 +185,7 @@ def cmd_neighbors(args):
 
 
 def cmd_cluster(args):
-    tokens, matrix = parse_vectors(Path(args.vectors).read_text())
+    tokens, matrix = parse_vectors(Path(args.vectors).read_text(encoding="utf-8"))
     if args.roots:
         roots = set(activity_roots(_read_graph(args.roots)))
         keep = [i for i, t in enumerate(tokens) if t in roots]
@@ -223,7 +217,8 @@ def cmd_analyze(args):
 
 def cmd_evaluate(args):
     doc = _read_graph(args.graph)
-    findings = risk.findings_from_json(Path(args.findings).read_text())
+    findings = risk.findings_from_json(
+        Path(args.findings).read_text(encoding="utf-8"))
     truth = analytics.read_ground_truth(args.ground_truth)
     json.dump(evaluate_findings(findings, truth, doc), sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -262,7 +257,6 @@ def _add_script_args(p, environment=True):
     if environment:
         p.add_argument("environment", help="environment JSON file")
         p.add_argument("--affordances", help="crowdsourced affordance CSV")
-        p.add_argument("--properties", help="object property table JSON")
         p.add_argument("--threshold", type=float, default=4.0,
                        help="mean-score cutoff for affordance rows")
         p.add_argument("--repair", action="store_true",

@@ -48,10 +48,6 @@ class ScoreOutOfRange(VH2KGError):
     pass
 
 
-class UnknownProperty(VH2KGError):
-    pass
-
-
 class InvalidName(VH2KGError):
     """A name that would be spliced into an IRI has characters outside
     [A-Za-z0-9_]."""
@@ -102,6 +98,10 @@ class TooFewPoints(VH2KGError):
 
 
 class UnknownToken(VH2KGError):
+    pass
+
+
+class MalformedVectors(VH2KGError):
     pass
 
 

@@ -7,7 +7,7 @@ from importlib import resources
 from pathlib import Path
 
 from .home import (EnvironmentGraph, filter_affordances, load_environment_file,
-                   load_property_table, read_affordance_csv)
+                   read_affordance_csv)
 from .scripts import ActivityScript, parse_script
 
 
@@ -44,10 +44,6 @@ def load_fixture_scripts() -> list[ActivityScript]:
 def load_fixture_affordance_table(threshold: float = 4.0):
     return filter_affordances(read_affordance_csv(fixture_path("affordances.csv")),
                               threshold)
-
-
-def load_fixture_property_table():
-    return load_property_table(fixture_path("properties.json"))
 
 
 def load_fixture_ground_truth() -> dict[str, str]:

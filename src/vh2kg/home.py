@@ -14,30 +14,21 @@ import re
 from dataclasses import dataclass, replace
 
 from .errors import (DanglingEdge, DuplicateId, InvalidName, NoAgent, Orphan,
-                     ScoreOutOfRange, UnknownProperty)
+                     ScoreOutOfRange)
 
 RELATIONS = frozenset({"INSIDE", "ON", "CLOSE", "FACING", "HOLDS_RH", "HOLDS_LH"})
 
-# Property token -> (kind, afforded verbs).  Kind "Affordance" tokens grant
-# actions; "Attribute" tokens are descriptive only.  Editable via
-# load_property_table().
-DEFAULT_PROPERTY_TABLE: dict[str, tuple[str, tuple[str, ...]]] = {
-    "GRABBABLE": ("Affordance", ("grab",)),
-    "HAS_SWITCH": ("Affordance", ("switchOn", "switchOff")),
-    "CAN_OPEN": ("Affordance", ("open", "close")),
-    "SITTABLE": ("Affordance", ("sit",)),
-    "LIEABLE": ("Affordance", ("lie",)),
-    "READABLE": ("Affordance", ("read",)),
-    "DRINKABLE": ("Affordance", ("drink",)),
-    "POURABLE": ("Affordance", ("pour",)),
-    "EATABLE": ("Attribute", ()),
-    "CUTTABLE": ("Attribute", ()),
-    "MOVABLE": ("Attribute", ()),
-    "CLOTHES": ("Attribute", ()),
-    "SURFACES": ("Attribute", ()),
-    "CONTAINERS": ("Attribute", ()),
-    "HAS_PLUG": ("Attribute", ()),
-    "LOOKABLE": ("Attribute", ()),
+# Property token -> the verbs it affords.  Every other token, unknown ones
+# included, is a descriptive attribute (EATABLE, SURFACES, ...).
+PROPERTY_VERBS: dict[str, tuple[str, ...]] = {
+    "GRABBABLE": ("grab",),
+    "HAS_SWITCH": ("switchOn", "switchOff"),
+    "CAN_OPEN": ("open", "close"),
+    "SITTABLE": ("sit",),
+    "LIEABLE": ("lie",),
+    "READABLE": ("read",),
+    "DRINKABLE": ("drink",),
+    "POURABLE": ("pour",),
 }
 
 
@@ -243,32 +234,9 @@ def filter_affordances(records, threshold: float = 4.0) -> dict[str, frozenset[s
     return {k: frozenset(v) for k, v in table.items()}
 
 
-def classify_property(token: str, table=None) -> tuple[str, frozenset[str]]:
-    """Return (kind, afforded verbs) for a property token."""
-    table = table if table is not None else DEFAULT_PROPERTY_TABLE
-    try:
-        kind, verbs = table[token]
-    except KeyError:
-        raise UnknownProperty(token) from None
-    return kind, frozenset(verbs)
-
-
-def load_property_table(path) -> dict[str, tuple[str, tuple[str, ...]]]:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return {tok: (spec["kind"], tuple(spec.get("verbs", ()))) for tok, spec in raw.items()}
-
-
-def afforded_verbs(node: ObjectNode, affordance_table=None, property_table=None) -> frozenset[str]:
+def afforded_verbs(node: ObjectNode, affordance_table=None) -> frozenset[str]:
     """Verbs the object affords: property-derived plus crowdsourced table entries."""
-    verbs: set[str] = set()
-    for tok in node.properties:
-        try:
-            kind, vs = classify_property(tok, property_table)
-        except UnknownProperty:
-            continue
-        if kind == "Affordance":
-            verbs |= vs
+    verbs = [v for tok in node.properties for v in PROPERTY_VERBS.get(tok, ())]
     if affordance_table:
-        verbs |= affordance_table.get(node.class_name, frozenset())
+        verbs.extend(affordance_table.get(node.class_name, ()))
     return frozenset(verbs)

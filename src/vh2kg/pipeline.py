@@ -70,7 +70,7 @@ class PipelineConfig:
 def simulate_corpus(scripts: list[ActivityScript], env: EnvironmentGraph,
                     dm: DurationModel = DurationModel(), mode: str = "strict",
                     sim: SimConfig = SimConfig(), affordance_table=None,
-                    property_table=None, scene_id: str = "scene1",
+                    scene_id: str = "scene1",
                     ) -> list[tuple[Trace, ActivityMeta]]:
     """Simulate every script; scripts whose names share a slug get activity
     indices 0, 1, ... in script order, so their IRIs never collide."""
@@ -78,7 +78,7 @@ def simulate_corpus(scripts: list[ActivityScript], env: EnvironmentGraph,
     seen = Counter()
     for script in scripts:
         slug = snake_case(script.name)
-        trace = run_script(script, env, dm, mode, sim, affordance_table, property_table)
+        trace = run_script(script, env, dm, mode, sim, affordance_table)
         meta = ActivityMeta(name=script.name, category=script.category,
                             description=script.description, scene_id=scene_id,
                             index=seen[slug])
@@ -107,8 +107,8 @@ def analysis_report(doc: KgDocument) -> dict:
 
 
 def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
-                 affordance_table=None, property_table=None,
-                 ground_truth=None, log=lambda msg: None) -> dict:
+                 affordance_table=None, ground_truth=None,
+                 log=lambda msg: None) -> dict:
     """Full corpus run; returns a manifest of written artifact paths.
 
     ``cfg.seed`` overrides the walk, skip-gram and k-means seeds."""
@@ -130,13 +130,12 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
 
     log(f"simulating {len(scripts)} scripts")
     runs = simulate_corpus(scripts, env, cfg.duration, cfg.mode, cfg.sim,
-                           affordance_table, property_table, cfg.scene_id)
+                           affordance_table, cfg.scene_id)
     manifest = {"activities": []}
 
     doc = KgDocument()
     for trace, meta in runs:
-        activity_doc = build_activity_kg(trace, meta, affordance_table,
-                                         property_table)
+        activity_doc = build_activity_kg(trace, meta, affordance_table)
         doc.update(activity_doc)
         name = IriFactory.for_meta(meta).local
         for fmt, render in (("nt", serialize_ntriples), ("ttl", serialize_turtle)):

@@ -317,12 +317,22 @@ class KgIndex:
         # The triple set, not the document: a document caches its index,
         # and a reference back would make every indexed document a cycle.
         self.triples = doc.triples
-        self.by_subject: dict[str, list[Triple]] = {}
-        self.by_predicate: dict[str, list[Triple]] = {}
-        self._by_object: dict[str, dict[object, list[str]]] = {}
+        by_subject: dict[str, list[Triple]] = {}
+        by_predicate: dict[str, list[Triple]] = {}
+        # A list only for a new key, as setdefault(key, []) makes one per
+        # triple.  Start it empty: [t] then append over-allocates.
         for t in doc.triples:
-            self.by_subject.setdefault(t.subject, []).append(t)
-            self.by_predicate.setdefault(t.predicate, []).append(t)
+            s, p, _ = t
+            listed = by_subject.get(s)
+            if listed is None:
+                listed = by_subject[s] = []
+            listed.append(t)
+            listed = by_predicate.get(p)
+            if listed is None:
+                listed = by_predicate[p] = []
+            listed.append(t)
+        self.by_subject, self.by_predicate = by_subject, by_predicate
+        self._by_object: dict[str, dict[object, list[str]]] = {}
 
     def objects(self, subject: str, predicate: str) -> list:
         return [t.object for t in self.by_subject.get(subject, ())

@@ -111,7 +111,7 @@ def _matches(rule: RiskRule, verb: str, agent_cy, agent_h, obj_cy, obj_h) -> boo
 # --- evaluation over traces ---
 
 def eval_rules_trace(trace: Trace, meta: ActivityMeta, rules=("R1", "R2"),
-                     affordance_table=None, property_table=None) -> list[RiskFinding]:
+                     affordance_table=None) -> list[RiskFinding]:
     f = IriFactory.for_meta(meta)
     agent_node = trace.situations[0].graph.agent
     agent_iri = f.agent()
@@ -121,7 +121,7 @@ def eval_rules_trace(trace: Trace, meta: ActivityMeta, rules=("R1", "R2"),
     def state_index(node_id, situation_no):
         if node_id not in state_idx_cache:
             state_idx_cache[node_id] = state_indices(
-                trace, node_id, affordance_table, property_table)
+                trace, node_id, affordance_table)
         return state_idx_cache[node_id][situation_no]
 
     for n, tr in enumerate(trace.transitions):

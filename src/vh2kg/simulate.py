@@ -256,7 +256,7 @@ def _set_posture(state: SimulationState, posture: str) -> SimulationState:
 
 def execute_step(state: SimulationState, step: Step, dm: DurationModel = DurationModel(),
                  cfg: SimConfig = SimConfig(), affordance_table=None,
-                 property_table=None, step_index: int = 0,
+                 step_index: int = 0,
                  ) -> tuple[SimulationState, TransitionRecord]:
     """Apply one step; raises StepFailure when a precondition fails.
 
@@ -269,7 +269,7 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
     facing = None
 
     def affords(node, v):
-        return v in afforded_verbs(node, affordance_table, property_table)
+        return v in afforded_verbs(node, affordance_table)
 
     def require_close(node):
         if not _is_close(state, node, cfg):
@@ -361,8 +361,7 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
     state = recompute_relations(state, cfg, facing=facing, previous=pre)
     state = replace(state, clock_seconds=pre.clock_seconds + duration)
     changed = diff_changed_ids(pre.graph, state.graph,
-                               affordance_table=affordance_table,
-                               property_table=property_table)
+                               affordance_table=affordance_table)
     record = TransitionRecord(
         step_index=step_index,
         step=step,
@@ -375,7 +374,7 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
 
 
 def diff_changed_ids(before: EnvironmentGraph, after: EnvironmentGraph,
-                     affordance_table=None, property_table=None) -> set[int]:
+                     affordance_table=None) -> set[int]:
     """Ids of objects whose state tokens, bbox, or afforded verbs differ."""
     changed = set()
     for node in before.nodes:
@@ -383,16 +382,15 @@ def diff_changed_ids(before: EnvironmentGraph, after: EnvironmentGraph,
         if other is node:
             continue
         if (node.states != other.states or node.bbox != other.bbox
-                or afforded_verbs(node, affordance_table, property_table)
-                != afforded_verbs(other, affordance_table, property_table)):
+                or afforded_verbs(node, affordance_table)
+                != afforded_verbs(other, affordance_table)):
             changed.add(node.id)
     return changed
 
 
 def run_script(script: ActivityScript, env: EnvironmentGraph,
                dm: DurationModel = DurationModel(), mode: str = "strict",
-               cfg: SimConfig = SimConfig(), affordance_table=None,
-               property_table=None) -> Trace:
+               cfg: SimConfig = SimConfig(), affordance_table=None) -> Trace:
     """Execute a script. Strict mode raises Unexecutable at the first failing
     step; repair mode inserts a walk before any step failing with NotClose
     (once per step) and retries."""
@@ -410,8 +408,7 @@ def run_script(script: ActivityScript, env: EnvironmentGraph,
         for idx, step in enumerate(current.steps):
             try:
                 state, record = execute_step(
-                    situations[-1], step, dm, cfg, affordance_table,
-                    property_table, step_index=idx)
+                    situations[-1], step, dm, cfg, affordance_table, step_index=idx)
             except StepFailure as exc:
                 failure = (idx, step, exc)
                 break
@@ -431,9 +428,9 @@ def run_script(script: ActivityScript, env: EnvironmentGraph,
 
 def check_executable(script: ActivityScript, env: EnvironmentGraph,
                      dm: DurationModel = DurationModel(), cfg: SimConfig = SimConfig(),
-                     affordance_table=None, property_table=None) -> ExecutabilityReport:
+                     affordance_table=None) -> ExecutabilityReport:
     try:
-        run_script(script, env, dm, "strict", cfg, affordance_table, property_table)
+        run_script(script, env, dm, "strict", cfg, affordance_table)
     except Unexecutable as exc:
         return exc.report
     return ExecutabilityReport(True)

@@ -9,11 +9,12 @@ deterministic under a seed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCorpus, IndexOutOfRange, UnknownToken
+from .errors import EmptyCorpus, IndexOutOfRange, MalformedVectors, UnknownToken
 from .walks import WalkCorpus
 
 
@@ -211,20 +212,50 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
+# Walk tokens include literal lexical forms, so a token may hold the TSV's
+# own separators; they are written as backslash escapes.
+_TSV_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_TSV_ESCAPE = str.maketrans(_TSV_ESCAPES)
+_TSV_UNESCAPES = {esc[1]: char for char, esc in _TSV_ESCAPES.items()}
+_TSV_ESCAPE_RE = re.compile(r"\\(.?)", re.S)
+
+
 def export_vectors(model: EmbeddingModel) -> str:
+    """One line per token: the escaped token, then its input vector, all
+    tab-separated."""
     lines = []
     for i, token in enumerate(model.vocab):
         cells = "\t".join(repr(float(v)) for v in model.input_vectors[i])
-        lines.append(f"{token}\t{cells}")
+        lines.append(f"{token.translate(_TSV_ESCAPE)}\t{cells}")
     return "\n".join(lines) + "\n"
 
 
+def _unescape_token(token: str, line_no: int) -> str:
+    def one(m):
+        try:
+            return _TSV_UNESCAPES[m.group(1)]
+        except KeyError:
+            raise MalformedVectors(
+                f"line {line_no}: bad escape {m.group(0)!r}") from None
+    return _TSV_ESCAPE_RE.sub(one, token) if "\\" in token else token
+
+
 def parse_vectors(text: str) -> tuple[list[str], np.ndarray]:
+    """Inverse of export_vectors; raises MalformedVectors on a row that is
+    not a token followed by as many numbers as the first row."""
     vocab, rows = [], []
-    for line in text.splitlines():
+    for line_no, line in enumerate(text.split("\n"), 1):
         if not line:
             continue
-        parts = line.split("\t")
-        vocab.append(parts[0])
-        rows.append([float(v) for v in parts[1:]])
+        token, *cells = line.split("\t")
+        try:
+            row = [float(v) for v in cells]
+        except ValueError:
+            raise MalformedVectors(f"line {line_no}: non-numeric cell") from None
+        if not row or (rows and len(row) != len(rows[0])):
+            raise MalformedVectors(
+                f"line {line_no}: {len(row)} numbers, expected "
+                f"{len(rows[0]) if rows else 'at least 1'}")
+        vocab.append(_unescape_token(token, line_no))
+        rows.append(row)
     return vocab, np.array(rows)

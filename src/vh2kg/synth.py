@@ -13,8 +13,8 @@ import re
 from dataclasses import dataclass
 
 from . import schema as S
-from .errors import InvalidTrace, UnknownProperty
-from .home import ObjectNode, afforded_verbs, check_name, classify_property
+from .errors import InvalidTrace
+from .home import PROPERTY_VERBS, ObjectNode, afforded_verbs, check_name
 from .rdf import EX, KgDocument, Triple, _paused_gc, decimal, integer, string
 from .simulate import Trace
 
@@ -88,8 +88,7 @@ def _emit_collection(add, base: str, values) -> str:
     return cells[0]
 
 
-def state_indices(trace: Trace, node_id: int, affordance_table=None,
-                  property_table=None) -> list[int]:
+def state_indices(trace: Trace, node_id: int, affordance_table=None) -> list[int]:
     """Per situation, the index of the situation that minted the object's
     current state node.  A new state is minted only when the object's
     (state tokens, bbox, afforded verbs) changed."""
@@ -100,15 +99,14 @@ def state_indices(trace: Trace, node_id: int, affordance_table=None,
         if node is prev_node:  # shared unchanged by with_nodes
             indices.append(indices[-1])
             continue
-        fp = (node.states, node.bbox,
-              afforded_verbs(node, affordance_table, property_table))
+        fp = (node.states, node.bbox, afforded_verbs(node, affordance_table))
         indices.append(n if fp != prev_fp else indices[-1])
         prev_node, prev_fp = node, fp
     return indices
 
 
 def build_activity_kg(trace: Trace, meta: ActivityMeta,
-                      affordance_table=None, property_table=None,
+                      affordance_table=None,
                       doc: KgDocument | None = None) -> KgDocument:
     if len(trace.situations) != len(trace.transitions) + 1:
         raise InvalidTrace("trace must carry one more situation than transitions")
@@ -121,13 +119,13 @@ def build_activity_kg(trace: Trace, meta: ActivityMeta,
         append(Triple(s, p, o))
 
     with _paused_gc():
-        _emit_activity(add, trace, meta, affordance_table, property_table)
+        _emit_activity(add, trace, meta, affordance_table)
         doc.add_all(triples)
     return doc
 
 
-def _emit_activity(add, trace: Trace, meta: ActivityMeta, affordance_table,
-                   property_table) -> None:
+def _emit_activity(add, trace: Trace, meta: ActivityMeta,
+                   affordance_table) -> None:
     f = IriFactory.for_meta(meta)
     activity = f.activity()
     agent_iri = f.agent()
@@ -194,19 +192,14 @@ def _emit_activity(add, trace: Trace, meta: ActivityMeta, affordance_table,
         height_iri = f.height(node)
         add(iri, S.HEIGHT, height_iri)
         add(height_iri, S.RDF_VALUE, decimal(node.height_meters))
-        for verb in sorted(afforded_verbs(node, affordance_table, property_table)):
+        for verb in sorted(afforded_verbs(node, affordance_table)):
             add(iri, S.AFFORDS, S.action_iri(verb))
         for tok in sorted(node.properties):
-            try:
-                kind, _ = classify_property(tok, property_table)
-            except UnknownProperty:
-                kind = "Attribute"
-            if kind == "Attribute":
+            if tok not in PROPERTY_VERBS:
                 add(iri, S.ATTRIBUTE, S.VH2KG + tok)
 
         prev_state_iri = None
-        for n, minted in enumerate(state_indices(trace, node.id, affordance_table,
-                                                 property_table)):
+        for n, minted in enumerate(state_indices(trace, node.id, affordance_table)):
             if minted != n:
                 add(prev_state_iri, S.PART_OF, situations[n])
                 continue

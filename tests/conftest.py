@@ -4,7 +4,7 @@ import pytest
 
 from vh2kg.fixtures import (load_fixture_affordance_table,
                             load_fixture_environment, load_fixture_ground_truth,
-                            load_fixture_property_table, load_fixture_scripts)
+                            load_fixture_scripts)
 from vh2kg.pipeline import simulate_corpus
 from vh2kg.rdf import KgDocument
 from vh2kg.synth import build_activity_kg
@@ -31,55 +31,47 @@ def affordance_table():
 
 
 @pytest.fixture(scope="session")
-def property_table():
-    return load_fixture_property_table()
-
-
-@pytest.fixture(scope="session")
 def ground_truth():
     return load_fixture_ground_truth()
 
 
 @pytest.fixture(scope="session")
-def base_runs(base_env, scripts, affordance_table, property_table):
-    return simulate_corpus(scripts, base_env, affordance_table=affordance_table,
-                           property_table=property_table)
+def base_runs(base_env, scripts, affordance_table):
+    return simulate_corpus(scripts, base_env, affordance_table=affordance_table)
 
 
 @pytest.fixture(scope="session")
-def fp_runs(fp_env, scripts, affordance_table, property_table):
-    return simulate_corpus(scripts, fp_env, affordance_table=affordance_table,
-                           property_table=property_table)
+def fp_runs(fp_env, scripts, affordance_table):
+    return simulate_corpus(scripts, fp_env, affordance_table=affordance_table)
 
 
 @pytest.fixture(scope="session")
-def base_doc(base_runs, affordance_table, property_table):
+def base_doc(base_runs, affordance_table):
     doc = KgDocument()
     for trace, meta in base_runs:
-        build_activity_kg(trace, meta, affordance_table, property_table, doc=doc)
+        build_activity_kg(trace, meta, affordance_table, doc=doc)
     return doc
 
 
 @pytest.fixture(scope="session")
-def fp_doc(fp_runs, affordance_table, property_table):
+def fp_doc(fp_runs, affordance_table):
     doc = KgDocument()
     for trace, meta in fp_runs:
-        build_activity_kg(trace, meta, affordance_table, property_table, doc=doc)
+        build_activity_kg(trace, meta, affordance_table, doc=doc)
     return doc
 
 
 @pytest.fixture(scope="session")
-def planted(base_runs, affordance_table, property_table):
+def planted(base_runs, affordance_table):
     """The fixture corpus plus a twin (activity index 1) of every fourth
     activity, five twins in all; returns the graph and the (original, twin)
     metadata pairs."""
     doc = KgDocument()
     pairs = []
     for i, (trace, meta) in enumerate(base_runs):
-        build_activity_kg(trace, meta, affordance_table, property_table, doc=doc)
+        build_activity_kg(trace, meta, affordance_table, doc=doc)
         if i % 4 == 0 and len(pairs) < 5:
             twin = replace(meta, index=1)
-            build_activity_kg(trace, twin, affordance_table, property_table,
-                              doc=doc)
+            build_activity_kg(trace, twin, affordance_table, doc=doc)
             pairs.append((meta, twin))
     return doc, pairs

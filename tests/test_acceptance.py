@@ -28,23 +28,21 @@ def report(capsys, n, message):
         print(f"\n[acceptance {n}] PASS: {message}")
 
 
-def trace_findings(runs, affordance_table, property_table):
+def trace_findings(runs, affordance_table):
     out = []
     for trace, meta in runs:
         out.extend(eval_rules_trace(trace, meta,
-                                    affordance_table=affordance_table,
-                                    property_table=property_table))
+                                    affordance_table=affordance_table))
     return out
 
 
 def test_01_fixture_reproduction(capsys, base_env, scripts, affordance_table,
-                                 property_table, ground_truth):
+                                 ground_truth):
     from vh2kg.simulate import run_script
     start = time.perf_counter()
     total_events = 0
     for script in scripts:
-        trace = run_script(script, base_env, affordance_table=affordance_table,
-                           property_table=property_table)
+        trace = run_script(script, base_env, affordance_table=affordance_table)
         total_events += len(trace.transitions)
     elapsed = time.perf_counter() - start
     assert len(scripts) == 20
@@ -56,15 +54,14 @@ def test_01_fixture_reproduction(capsys, base_env, scripts, affordance_table,
 
 
 def test_02_risk_detection_metrics(capsys, base_runs, base_doc, fp_runs,
-                                   fp_doc, affordance_table, property_table,
-                                   ground_truth):
-    base = trace_findings(base_runs, affordance_table, property_table)
+                                   fp_doc, affordance_table, ground_truth):
+    base = trace_findings(base_runs, affordance_table)
     cm = confusion(base, ground_truth, all_event_iris(base_doc))
     precision, recall, _ = prf1(cm)
     assert recall == 1.0
     assert cm.fn == 0
 
-    fp = trace_findings(fp_runs, affordance_table, property_table)
+    fp = trace_findings(fp_runs, affordance_table)
     cm_fp = confusion(fp, ground_truth, all_event_iris(fp_doc))
     assert (cm_fp.tp, cm_fp.fp, cm_fp.fn, cm_fp.tn) == (6, 4, 0, 93)
     p2, r2, f2 = prf1(cm_fp)
@@ -135,10 +132,9 @@ def test_04_structural_suite(capsys, base_doc, base_runs):
 
 
 def test_05_dual_evaluation(capsys, base_runs, base_doc, fp_runs, fp_doc,
-                            affordance_table, property_table):
+                            affordance_table):
     for runs, doc in ((base_runs, base_doc), (fp_runs, fp_doc)):
-        from_traces = {f.key() for f in trace_findings(runs, affordance_table,
-                                                       property_table)}
+        from_traces = {f.key() for f in trace_findings(runs, affordance_table)}
         reparsed = parse_ntriples(serialize_ntriples(doc))
         from_kg = {f.key() for f in eval_rules_kg(reparsed)}
         assert from_traces == from_kg

@@ -103,18 +103,17 @@ def test_duration_by_activity_filter(base_doc):
 _DURATION_RANKING = """
 from vh2kg import analytics
 from vh2kg.fixtures import (load_fixture_affordance_table,
-                            load_fixture_environment, load_fixture_property_table,
-                            load_fixture_scripts)
+                            load_fixture_environment, load_fixture_scripts)
 from vh2kg.pipeline import simulate_corpus
 from vh2kg.rdf import KgDocument
 from vh2kg.synth import build_activity_kg
 
-aff, props = load_fixture_affordance_table(), load_fixture_property_table()
+aff = load_fixture_affordance_table()
 doc = KgDocument()
 for trace, meta in simulate_corpus(load_fixture_scripts(),
                                    load_fixture_environment(),
-                                   affordance_table=aff, property_table=props):
-    build_activity_kg(trace, meta, aff, props, doc=doc)
+                                   affordance_table=aff):
+    build_activity_kg(trace, meta, aff, doc=doc)
 print(repr(analytics.duration_by_activity(doc)))
 print(repr(analytics.duration_by_activity(doc, "Leisure")))
 """

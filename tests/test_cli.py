@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from vh2kg.cli import main
 from vh2kg.fixtures import fixture_path
 from vh2kg.rdf import EX
+from vh2kg.skipgram import parse_vectors
 
 SCRIPT = str(fixture_path("scripts", "carry_box.txt"))
 ENV = str(fixture_path("environment.json"))
 AFF = str(fixture_path("affordances.csv"))
-PROPS = str(fixture_path("properties.json"))
 GT = str(fixture_path("ground_truth.csv"))
 
 
@@ -35,23 +36,20 @@ def test_parse_echo_round_trip(capsys, tmp_path):
 
 
 def test_check_executable(capsys):
-    code, out = run(capsys, "check", SCRIPT, ENV,
-                    "--affordances", AFF, "--properties", PROPS)
+    code, out = run(capsys, "check", SCRIPT, ENV, "--affordances", AFF)
     assert code == 0
     assert json.loads(out)["executable"] is True
 
 
 def test_simulate(capsys):
-    code, out = run(capsys, "simulate", SCRIPT, ENV,
-                    "--affordances", AFF, "--properties", PROPS)
+    code, out = run(capsys, "simulate", SCRIPT, ENV, "--affordances", AFF)
     assert code == 0
     payload = json.loads(out)
     assert len(payload["transitions"]) == 5
 
 
 def test_build_detect_evaluate_chain(capsys, tmp_path):
-    code, out = run(capsys, "build-kg", SCRIPT, ENV,
-                    "--affordances", AFF, "--properties", PROPS)
+    code, out = run(capsys, "build-kg", SCRIPT, ENV, "--affordances", AFF)
     assert code == 0
     graph = tmp_path / "g.nt"
     graph.write_text(out)
@@ -84,8 +82,7 @@ def test_build_detect_evaluate_chain(capsys, tmp_path):
 
 
 def test_explain_unknown_event(capsys, tmp_path):
-    code, out = run(capsys, "build-kg", SCRIPT, ENV,
-                    "--affordances", AFF, "--properties", PROPS)
+    code, out = run(capsys, "build-kg", SCRIPT, ENV, "--affordances", AFF)
     graph = tmp_path / "g.nt"
     graph.write_text(out)
     code, out = run(capsys, "detect-risk", str(graph))
@@ -96,8 +93,7 @@ def test_explain_unknown_event(capsys, tmp_path):
 
 
 def test_embed_and_cluster(capsys, tmp_path):
-    code, out = run(capsys, "build-kg", SCRIPT, ENV,
-                    "--affordances", AFF, "--properties", PROPS)
+    code, out = run(capsys, "build-kg", SCRIPT, ENV, "--affordances", AFF)
     graph = tmp_path / "g.nt"
     graph.write_text(out)
     code, out = run(capsys, "embed", str(graph), "--depth", "2", "--walks", "5",
@@ -124,7 +120,7 @@ def test_name_minting_invalid_iri_is_exit_1(capsys, tmp_path):
     code, out = run(capsys, "check", SCRIPT, str(bad_env))
     assert (code, out) == (1, "")
     code, out = run(capsys, "build-kg", SCRIPT, ENV, "--affordances", AFF,
-                    "--properties", PROPS, "--scene", "a>b")
+                    "--scene", "a>b")
     assert (code, out) == (1, "")
 
 
@@ -154,7 +150,7 @@ def test_cluster_roots_keeps_only_activities(capsys, tmp_path):
     graph = tmp_path / "g.nt"
     for script in ("carry_box.txt", "read_book.txt"):
         code, out = run(capsys, "build-kg", str(fixture_path("scripts", script)),
-                        ENV, "--affordances", AFF, "--properties", PROPS)
+                        ENV, "--affordances", AFF)
         assert code == 0
         with graph.open("a") as fh:
             fh.write(out)
@@ -167,3 +163,30 @@ def test_cluster_roots_keeps_only_activities(capsys, tmp_path):
     assert code == 0
     tokens = sorted(line.split(",")[0] for line in out.splitlines())
     assert tokens == [EX + "carry_box0_scene1", EX + "read_book0_scene1"]
+
+
+def test_cluster_reads_tokens_with_separators(capsys, tmp_path):
+    """A tab in a script description reaches a walk token through the
+    activity's rdfs:comment; vectors.tsv must still read back."""
+    scripts = tmp_path / "scripts"
+    shutil.copytree(fixture_path("scripts"), scripts)
+    shutil.copy(fixture_path("scripts_meta.json"), tmp_path)
+    script = scripts / "carry_box.txt"
+    lines = script.read_text(encoding="utf-8").split("\n")
+    lines[1] = "Tab\there"
+    script.write_text("\n".join(lines), encoding="utf-8")
+    out = tmp_path / "out"
+    code, _ = run(capsys, "pipeline", "--scripts", str(scripts),
+                  "--environment", ENV, "--affordances", AFF,
+                  "-o", str(out), "--seed", "7")
+    assert code == 0
+    vectors = out / "vectors.tsv"
+    assert "Tab\there" in parse_vectors(vectors.read_text(encoding="utf-8"))[0]
+    code, _ = run(capsys, "cluster", str(vectors), "-k", "10", "--seed", "7")
+    assert code == 0
+
+
+def test_cluster_malformed_vectors_is_exit_1(capsys, tmp_path):
+    vectors = tmp_path / "v.tsv"
+    vectors.write_text("a\t1.0\t2.0\nb\t1.0\n", encoding="utf-8")
+    assert run(capsys, "cluster", str(vectors), "-k", "1") == (1, "")

@@ -105,8 +105,8 @@ def test_affordance_score_bounds():
         filter_affordances(bad)
 
 
-def test_afforded_verbs_union(base_env, affordance_table, property_table):
+def test_afforded_verbs_union(base_env, affordance_table):
     sofa = next(n for n in base_env.nodes if n.class_name == "sofa")
-    verbs = afforded_verbs(sofa, affordance_table, property_table)
+    verbs = afforded_verbs(sofa, affordance_table)
     assert "sit" in verbs
     assert "grab" not in verbs  # crowdsourced score below threshold, no property

@@ -38,15 +38,13 @@ def twin_carry_boxes(scripts):
     return [by_name["Carry box"], replace(by_name["Read book"], name="Carry box")]
 
 
-def test_duplicate_names_get_distinct_activities(scripts, base_env,
-                                                 affordance_table, property_table):
+def test_duplicate_names_get_distinct_activities(scripts, base_env, affordance_table):
     runs = simulate_corpus(twin_carry_boxes(scripts), base_env,
-                           affordance_table=affordance_table,
-                           property_table=property_table)
+                           affordance_table=affordance_table)
     assert [meta.index for _, meta in runs] == [0, 1]
     doc = KgDocument()
     for trace, meta in runs:
-        build_activity_kg(trace, meta, affordance_table, property_table, doc=doc)
+        build_activity_kg(trace, meta, affordance_table, doc=doc)
     assert len(KgIndex(doc).subjects(S.RDF_TYPE, S.EVENT)) == 10
     findings, _ = detect_risks(doc)
     assert (EX + "event1_carry_box0_scene1", "R2") in {f.key() for f in findings}

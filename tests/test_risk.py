@@ -39,34 +39,29 @@ def test_taxonomy_shape():
     assert sorted(e.rule_id for e in implemented) == ["R1", "R2"]
 
 
-def trace_findings(runs, affordance_table, property_table):
+def trace_findings(runs, affordance_table):
     out = []
     for trace, meta in runs:
         out.extend(eval_rules_trace(trace, meta,
-                                    affordance_table=affordance_table,
-                                    property_table=property_table))
+                                    affordance_table=affordance_table))
     return out
 
 
 def test_base_env_findings_match_ground_truth(base_runs, affordance_table,
-                                              property_table, ground_truth):
-    found = {f.key() for f in trace_findings(base_runs, affordance_table,
-                                             property_table)}
+                                              ground_truth):
+    found = {f.key() for f in trace_findings(base_runs, affordance_table)}
     assert found == {(e, r) for e, r in ground_truth.items()}
 
 
-def test_dual_evaluation_base(base_runs, base_doc, affordance_table,
-                              property_table):
-    from_traces = {f.key() for f in trace_findings(base_runs, affordance_table,
-                                                   property_table)}
+def test_dual_evaluation_base(base_runs, base_doc, affordance_table):
+    from_traces = {f.key() for f in trace_findings(base_runs, affordance_table)}
     reparsed = parse_ntriples(serialize_ntriples(base_doc))
     from_kg = {f.key() for f in eval_rules_kg(reparsed)}
     assert from_traces == from_kg
 
 
-def test_dual_evaluation_fp(fp_runs, fp_doc, affordance_table, property_table):
-    from_traces = {f.key() for f in trace_findings(fp_runs, affordance_table,
-                                                   property_table)}
+def test_dual_evaluation_fp(fp_runs, fp_doc, affordance_table):
+    from_traces = {f.key() for f in trace_findings(fp_runs, affordance_table)}
     reparsed = parse_ntriples(serialize_ntriples(fp_doc))
     from_kg = {f.key() for f in eval_rules_kg(reparsed)}
     assert from_traces == from_kg
@@ -105,8 +100,8 @@ def test_findings_json_round_trip(base_doc):
     assert again == findings
 
 
-def test_evidence_is_recorded(base_runs, affordance_table, property_table):
-    findings = trace_findings(base_runs, affordance_table, property_table)
+def test_evidence_is_recorded(base_runs, affordance_table):
+    findings = trace_findings(base_runs, affordance_table)
     for f in findings:
         ev = f.evidence_map
         assert set(ev) == {"agentCenterY", "agentHeight", "objectCenterY",
@@ -136,8 +131,7 @@ class CountingIndex:
         return getattr(self.idx, name)
 
 
-def test_kg_rules_scale_over_replicas(base_runs, affordance_table,
-                                      property_table, monkeypatch):
+def test_kg_rules_scale_over_replicas(base_runs, affordance_table, monkeypatch):
     """Three replicas of the corpus share the agent IRI; each state lookup
     still examines one situation's states, not the agent's in every
     replica."""
@@ -145,12 +139,10 @@ def test_kg_rules_scale_over_replicas(base_runs, affordance_table,
     for k in (1, 2, 3):
         for trace, meta in base_runs:
             meta = replace(meta, index=10 * k + meta.index)
-            build_activity_kg(trace, meta, affordance_table, property_table,
-                              doc=doc)
+            build_activity_kg(trace, meta, affordance_table, doc=doc)
             expected |= {(f.key(), f.activity_iri, f.agent_iri, f.object_iri)
                          for f in eval_rules_trace(
-                             trace, meta, affordance_table=affordance_table,
-                             property_table=property_table)}
+                             trace, meta, affordance_table=affordance_table)}
     idx = doc.index()
     assert len({idx.object(a, S.AGENT) for a in idx.subjects(S.HAS_EVENT)}) == 1
 

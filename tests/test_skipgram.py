@@ -1,10 +1,13 @@
+import io
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vh2kg import skipgram
-from vh2kg.errors import EmptyCorpus, IndexOutOfRange, UnknownToken
+from vh2kg.errors import (EmptyCorpus, IndexOutOfRange, MalformedVectors,
+                          UnknownToken)
 from vh2kg.skipgram import (EmbeddingModel, SkipGramConfig, build_vocab,
                             cosine_neighbors, cosine_similarity,
                             export_vectors, init_model, parse_vectors,
@@ -132,6 +135,34 @@ def test_export_parse_round_trip():
     tokens, matrix = parse_vectors(export_vectors(model))
     assert tokens == model.vocab
     assert np.array_equal(matrix, model.input_vectors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(st.characters(blacklist_categories=("Cs",))
+                        | st.sampled_from("\\\t\n\r\u2028tnr")),
+                min_size=1, max_size=6, unique=True))
+def test_export_parse_round_trip_any_tokens(tokens):
+    rng = np.random.default_rng(len(tokens))
+    vectors = rng.standard_normal((len(tokens), 3))
+    model = EmbeddingModel(tokens, vectors, np.zeros_like(vectors))
+    # through a UTF-8 file read in text mode, as the CLI reads it
+    data = export_vectors(model).encode("utf-8")
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    parsed, matrix = parse_vectors(text)
+    assert parsed == tokens
+    assert np.array_equal(matrix, vectors)
+
+
+@pytest.mark.parametrize("text", [
+    "a\t1.0\nb\tx\n",         # not a number
+    "a\t1.0\t2.0\nb\t1.0\n",  # ragged
+    "a\n",                    # no vector
+    "a\\q\t1.0\n",            # unknown escape
+    "a\\\t1.0\n",             # escape cut short by the separator
+])
+def test_parse_vectors_rejects_malformed_rows(text):
+    with pytest.raises(MalformedVectors):
+        parse_vectors(text)
 
 
 def test_cosine_neighbors_excludes_self():

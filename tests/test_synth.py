@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vh2kg import schema as S
 from vh2kg import synth
@@ -161,27 +162,23 @@ def test_scene_id_outside_iri_alphabet(scene):
         IriFactory("Carry box", 0, scene)
 
 
-def fingerprint_state_indices(trace, node_id, affordance_table=None,
-                              property_table=None):
+def fingerprint_state_indices(trace, node_id, affordance_table=None):
     """The fingerprint-every-situation loop that state_indices' identity
     shortcut replaced; kept as its oracle."""
     indices, prev_fp = [], None
     for n, situation in enumerate(trace.situations):
         node = situation.graph.node(node_id)
-        fp = (node.states, node.bbox,
-              afforded_verbs(node, affordance_table, property_table))
+        fp = (node.states, node.bbox, afforded_verbs(node, affordance_table))
         indices.append(n if fp != prev_fp else indices[-1])
         prev_fp = fp
     return indices
 
 
-def test_state_indices_match_fingerprint_oracle(base_runs, affordance_table,
-                                                property_table):
+def test_state_indices_match_fingerprint_oracle(base_runs, affordance_table):
     for trace, _ in base_runs:
         for node in trace.situations[0].graph.nodes:
-            assert state_indices(trace, node.id, affordance_table,
-                                 property_table) == fingerprint_state_indices(
-                trace, node.id, affordance_table, property_table)
+            assert state_indices(trace, node.id, affordance_table) == \
+                fingerprint_state_indices(trace, node.id, affordance_table)
 
 
 def test_state_indices_reuse_equal_but_distinct_nodes(base_runs, monkeypatch):
@@ -202,3 +199,83 @@ def test_state_indices_reuse_equal_but_distinct_nodes(base_runs, monkeypatch):
     assert fingerprint_state_indices(edited, node.id) == [0, 0, 0, 3, 3, 5]
     # one fingerprint per distinct node object in a row: g0, g2, g3, g5
     assert len(calls) == 4
+
+
+# The object-property table that callers could once pass in, as shipped:
+# token -> (kind, afforded verbs).  Oracle for home.PROPERTY_VERBS.
+OLD_PROPERTY_TABLE = {
+    "GRABBABLE": ("Affordance", ("grab",)),
+    "HAS_SWITCH": ("Affordance", ("switchOn", "switchOff")),
+    "CAN_OPEN": ("Affordance", ("open", "close")),
+    "SITTABLE": ("Affordance", ("sit",)),
+    "LIEABLE": ("Affordance", ("lie",)),
+    "READABLE": ("Affordance", ("read",)),
+    "DRINKABLE": ("Affordance", ("drink",)),
+    "POURABLE": ("Affordance", ("pour",)),
+    "EATABLE": ("Attribute", ()),
+    "CUTTABLE": ("Attribute", ()),
+    "MOVABLE": ("Attribute", ()),
+    "CLOTHES": ("Attribute", ()),
+    "SURFACES": ("Attribute", ()),
+    "CONTAINERS": ("Attribute", ()),
+    "HAS_PLUG": ("Attribute", ()),
+    "LOOKABLE": ("Attribute", ()),
+}
+
+
+def old_property_kind(token):
+    try:
+        kind, verbs = OLD_PROPERTY_TABLE[token]
+    except KeyError:
+        raise LookupError(token) from None
+    return kind, frozenset(verbs)
+
+
+def old_afforded_verbs(node, affordance_table):
+    verbs = set()
+    for tok in node.properties:
+        try:
+            kind, vs = old_property_kind(tok)
+        except LookupError:
+            continue
+        if kind == "Affordance":
+            verbs |= vs
+    if affordance_table:
+        verbs |= affordance_table.get(node.class_name, frozenset())
+    return frozenset(verbs)
+
+
+def old_attributes(node):
+    out = set()
+    for tok in node.properties:
+        try:
+            kind, _ = old_property_kind(tok)
+        except LookupError:
+            kind = "Attribute"
+        if kind == "Attribute":
+            out.add(tok)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(tokens=st.frozensets(st.sampled_from(
+           sorted(OLD_PROPERTY_TABLE) + ["FOO", "HAS_WHEELS", "grabbable"])),
+       class_verbs=st.none() | st.frozensets(
+           st.sampled_from(["grab", "sit", "open", "wipe"])))
+def test_property_verbs_match_old_table(base_runs, tokens, class_verbs):
+    trace, meta = base_runs[0]
+    g0 = trace.situations[0].graph
+    node = next(n for n in g0.nodes if not n.is_room and not n.is_agent)
+    node = replace(node, properties=tokens)
+    table = None if class_verbs is None else {node.class_name: class_verbs}
+    expected = old_afforded_verbs(node, table)
+    assert afforded_verbs(node, table) == expected
+
+    one_situation = (SimulationState(g0.with_nodes({node.id: node})),)
+    doc = synth.build_activity_kg(Trace(trace.script, one_situation, ()),
+                                  meta, table)
+    iri = IriFactory.for_meta(meta).object(node)
+    idx = doc.index()
+    assert set(idx.objects(iri, S.AFFORDS)) == {S.action_iri(v) for v in expected}
+    assert set(idx.objects(iri, S.ATTRIBUTE)) == {
+        S.VH2KG + tok for tok in old_attributes(node)}
