@@ -18,15 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, risk
-from .cluster import KMeansConfig, kmeans
+from .cluster import KMeansConfig, clusters_csv, kmeans
 from .errors import VH2KGError
 from .home import filter_affordances, load_environment_file, read_affordance_csv
 from .pipeline import PipelineConfig, evaluate_findings, run_pipeline
 from .rdf import parse_ntriples, graph_stats, serialize_ntriples, serialize_turtle
 from .scripts import parse_script, serialize_script, validate_vocabulary
 from .simulate import DurationModel, check_executable, run_script, trace_to_json
-from .skipgram import (SkipGramConfig, cosine_neighbors, export_vectors,
-                       parse_vectors, train_skipgram)
+from .skipgram import (_TSV_ESCAPE, SkipGramConfig, cosine_neighbors,
+                       export_vectors, parse_vectors, train_skipgram)
 from .synth import ActivityMeta, build_activity_kg
 from .walks import WalkConfig, activity_roots, wl_relabel
 
@@ -180,7 +180,7 @@ def cmd_neighbors(args):
     from .skipgram import EmbeddingModel
     model = EmbeddingModel(list(tokens), matrix, np.zeros_like(matrix))
     for token, score in cosine_neighbors(model, args.token, args.n):
-        sys.stdout.write(f"{score:.6f}\t{token}\n")
+        sys.stdout.write(f"{score:.6f}\t{token.translate(_TSV_ESCAPE)}\n")
     return 0
 
 
@@ -193,8 +193,7 @@ def cmd_cluster(args):
         matrix = matrix[keep]
     cfg = KMeansConfig(k=args.k, seed=args.seed)
     assignments, _, inertia = kmeans(matrix, cfg)
-    for token, cluster in zip(tokens, assignments):
-        sys.stdout.write(f"{token},{cluster}\n")
+    sys.stdout.write(clusters_csv(tokens, assignments))
     log.info("inertia %.6f", inertia)
     return 0
 

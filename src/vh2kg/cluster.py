@@ -71,3 +71,15 @@ def kmeans_history(points: np.ndarray, cfg: KMeansConfig = KMeansConfig()):
                 centroids[c] = members.mean(axis=0)
     inertia = float(_sq_dists(points, centroids)[np.arange(len(points)), assignments].sum())
     return assignments, centroids, inertia, history
+
+
+def clusters_csv(tokens, assignments) -> str:
+    """``token,cluster`` rows, one per line.  A token holding a comma, a
+    quote or a line break (literal tokens do) is quoted as in RFC 4180;
+    ``csv.writer`` with a "\\n" terminator would leave a "\\r" unquoted."""
+    rows = []
+    for token, cluster in zip(tokens, assignments):
+        if any(c in token for c in ',"\r\n'):
+            token = '"' + token.replace('"', '""') + '"'
+        rows.append(f"{token},{cluster}\n")
+    return "".join(rows)

@@ -124,7 +124,10 @@ class EnvironmentGraph:
 
 
 def load_environment(document: dict) -> EnvironmentGraph:
-    """Build a validated EnvironmentGraph from its JSON document."""
+    """Build a validated EnvironmentGraph from its JSON document.
+
+    Class names, states and properties end up in IRIs, so each must pass
+    ``check_name``."""
     nodes = []
     seen = set()
     for nd in document["nodes"]:
@@ -138,8 +141,10 @@ def load_environment(document: dict) -> EnvironmentGraph:
             category=nd.get("category", ""),
             is_room=bool(nd.get("is_room", False)),
             is_agent=bool(nd.get("is_agent", False)),
-            states=frozenset(nd.get("states", [])),
-            properties=frozenset(nd.get("properties", [])),
+            states=frozenset(check_name("state", tok)
+                             for tok in nd.get("states", [])),
+            properties=frozenset(check_name("property", tok)
+                                 for tok in nd.get("properties", [])),
             bbox=BoundingBox(tuple(bb["center"]), tuple(bb["size"])),
         ))
     ids = {n.id for n in nodes}
@@ -210,14 +215,17 @@ class AffordanceRecord:
 
 
 def read_affordance_csv(path) -> list[AffordanceRecord]:
-    """Read `object_class,verb,s1,...` rows; fewer than 5 scores is tolerated."""
+    """Read `object_class,verb,s1,...` rows; fewer than 5 scores is tolerated.
+
+    A verb becomes an action IRI, so it must pass ``check_name``."""
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.reader(fh):
             if not row or row[0].startswith("#") or row[0] == "object_class":
                 continue
             scores = tuple(float(v) for v in row[2:] if v != "")
-            records.append(AffordanceRecord(row[0], row[1], scores))
+            records.append(AffordanceRecord(
+                row[0], check_name("affordance verb", row[1]), scores))
     return records
 
 

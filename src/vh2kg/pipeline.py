@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import analytics, risk
-from .cluster import KMeansConfig, kmeans
+from .cluster import KMeansConfig, clusters_csv, kmeans
 from .home import EnvironmentGraph
 from .rdf import KgDocument, graph_stats, serialize_ntriples, serialize_turtle
 from .scripts import ActivityScript
@@ -174,8 +174,8 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
         import numpy as np
         points = np.stack([model.vector(r) for r in roots])
         assignments, _, inertia = kmeans(points, cfg.kmeans)
-        lines = [f"{root},{cluster}" for root, cluster in zip(roots, assignments)]
-        (out / "clusters.csv").write_text("\n".join(lines) + "\n")
+        (out / "clusters.csv").write_text(clusters_csv(roots, assignments),
+                                          encoding="utf-8")
         report["clustering_inertia"] = inertia
         manifest["clusters"] = str(out / "clusters.csv")
 

@@ -2,7 +2,8 @@
 
 Documents are plain triple sets plus a prefix table.  Serialization sorts
 triples lexicographically by subject, predicate, object so identical
-documents always produce byte-identical output.
+documents always produce byte-identical output.  The sort and the writers
+do their Python-level work per subject, not per triple.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import gc
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -160,10 +161,38 @@ class KgDocument:
         return self._view("index", lambda: KgIndex(self))
 
     def sorted_triples(self) -> tuple[Triple, ...]:
-        """Triples in (subject, predicate, object) order, sorted once per
-        version and shared by the serializers."""
-        return self._view("sorted", lambda: tuple(
-            sorted(self.triples, key=Triple.sort_key)))
+        """Triples in ``Triple.sort_key`` order, sorted once per version and
+        shared by the serializers."""
+        return self._view("sorted", lambda: _canonical_order(self.triples))
+
+
+def _canonical_order(triples) -> tuple:
+    """``sorted(triples, key=Triple.sort_key)`` as a tuple, sorted per subject.
+
+    One dict pass groups the triples by subject; the distinct subjects sort
+    as plain strings, and each group of two or more in natural tuple order.
+    Within one subject that is ``sort_key`` order, except that an IRI and a
+    literal under one predicate do not compare: such a group raises
+    TypeError and is re-sorted by ``sort_key``.  Triples are read by
+    attribute, so any object with the three fields sorts.
+    """
+    groups: dict[str, list] = {}
+    for t in triples:
+        group = groups.get(t.subject)
+        if group is None:
+            groups[t.subject] = [t]
+        else:
+            group.append(t)
+    ordered = []
+    for subject in sorted(groups):
+        group = groups[subject]
+        if len(group) > 1:
+            try:
+                group.sort()
+            except TypeError:
+                group.sort(key=Triple.sort_key)
+        ordered += group
+    return tuple(ordered)
 
 
 def _escape(text: str) -> str:
@@ -191,67 +220,91 @@ def _unescape(text: str, line_no: int) -> str:
     return _ESCAPE_RE.sub(one, text)
 
 
-def _nt_term(o) -> str:
-    if isinstance(o, str):
-        return f"<{o}>"
+def _nt_literal(o: Literal) -> str:
     if o.datatype == XSD_STRING:
         return f'"{_escape(o.lexical)}"'
     return f'"{_escape(o.lexical)}"^^<{o.datatype}>'
 
 
 def serialize_ntriples(doc: KgDocument) -> str:
-    lines = [f"<{t.subject}> <{t.predicate}> {_nt_term(t.object)} ."
-             for t in doc.sorted_triples()]
-    return "\n".join(lines) + ("\n" if lines else "")
+    lines = []
+    subject = None
+    for t in doc.sorted_triples():
+        if t.subject is not subject:  # a subject's text is made once per run
+            subject = t.subject
+            head = f"<{subject}> <"
+        o = t.object
+        if isinstance(o, str):
+            lines.append(f"{head}{t.predicate}> <{o}> .")
+        else:
+            lines.append(f"{head}{t.predicate}> {_nt_literal(o)} .")
+    if lines:
+        lines.append("")  # the final line break, without copying the text
+    return "\n".join(lines)
 
 
-_LOCAL_RE = re.compile(r"^[A-Za-z0-9_.-]*$")
+#: A Turtle local name: empty, or no leading "." or "-" and no trailing ".".
+_LOCAL_PART = r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?\Z"
 
 
-def _qname(iri: str, prefixes: dict) -> str:
-    best = None
+def _qnamer(prefixes: dict):
+    """``qname(iri)`` for one prefix table, memoized per IRI.
+
+    One regex holds the namespaces, longest first, as an ordered
+    alternation followed by the local part, so a match picks the longest
+    namespace whose remainder is a valid local name; an IRI with none is
+    written ``<iri>``.  Of two prefixes for one namespace, the first wins.
+    """
+    by_ns: dict[str, str] = {}
     for prefix, ns in prefixes.items():
-        if iri.startswith(ns) and (best is None or len(ns) > len(prefixes[best])):
-            local = iri[len(ns):]
-            if _LOCAL_RE.match(local) and not local.startswith((".", "-")) \
-                    and not local.endswith("."):
-                best = prefix
-    if best is None:
-        return f"<{iri}>"
-    return f"{best}:{iri[len(prefixes[best]):]}"
-
-
-def _ttl_term(o, qname) -> str:
-    if isinstance(o, str):
-        return qname(o)
-    if o.datatype == XSD_STRING:
-        return f'"{_escape(o.lexical)}"'
-    return f'"{_escape(o.lexical)}"^^{qname(o.datatype)}'
-
-
-def serialize_turtle(doc: KgDocument) -> str:
+        by_ns.setdefault(ns, prefix)
+    namespaces = sorted(by_ns, key=len, reverse=True)
+    match = re.compile(
+        f"({'|'.join(map(re.escape, namespaces))}){_LOCAL_PART}").match
     qnames: dict[str, str] = {}
 
     def qname(iri: str) -> str:
-        # _qname tries every prefix; each IRI recurs across many triples
         q = qnames.get(iri)
         if q is None:
-            q = qnames[iri] = _qname(iri, doc.prefixes)
+            m = match(iri) if by_ns else None
+            q = qnames[iri] = (f"{by_ns[m[1]]}:{iri[m.end(1):]}" if m
+                               else f"<{iri}>")
         return q
+    return qname
 
-    out = []
-    for prefix, ns in doc.prefixes.items():
-        out.append(f"@prefix {prefix}: <{ns}> .")
+
+def serialize_turtle(doc: KgDocument) -> str:
+    qname = _qnamer(doc.prefixes)
+    predicates = {RDF + "type": "a"}
+    out = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in doc.prefixes.items()]
     out.append("")
+    subject = None
     for t in doc.sorted_triples():
-        p = "a" if t.predicate == RDF + "type" else qname(t.predicate)
-        out.append(f"{qname(t.subject)} {p} {_ttl_term(t.object, qname)} .")
-    return "\n".join(out) + "\n"
+        if t.subject is not subject:  # a subject's text is made once per run
+            subject = t.subject
+            head = qname(subject)
+        p = predicates.get(t.predicate)
+        if p is None:
+            p = predicates[t.predicate] = qname(t.predicate)
+        o = t.object
+        if isinstance(o, str):
+            o = qname(o)
+        elif o.datatype == XSD_STRING:
+            o = f'"{_escape(o.lexical)}"'
+        else:
+            o = f'"{_escape(o.lexical)}"^^{qname(o.datatype)}'
+        out.append(f"{head} {p} {o} .")
+    out.append("")
+    return "\n".join(out)
 
 
 _NT_LINE = re.compile(
     r'^<([^>]*)>\s+<([^>]*)>\s+'
     r'(?:<([^>]*)>|"((?:[^"\\]|\\.)*)"(?:\^\^<([^>]*)>)?)\s*\.\s*$')
+
+
+#: ``Triple`` from a 3-tuple, built in C without NamedTuple's ``__new__``.
+_as_triple = partial(tuple.__new__, Triple)
 
 
 def parse_ntriples(text: str) -> KgDocument:
@@ -279,7 +332,8 @@ def parse_ntriples(text: str) -> KgDocument:
                 o = literals.get(key)
                 if o is None:
                     o = literals[key] = Literal(*key)
-            triples.append(Triple(iris.setdefault(s, s), iris.setdefault(p, p), o))
+            triples.append(_as_triple(
+                (iris.setdefault(s, s), iris.setdefault(p, p), o)))
         return KgDocument(triples=set(triples))
 
 

@@ -1,13 +1,17 @@
+import csv
+import io
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vh2kg.cli import main
 from vh2kg.fixtures import fixture_path
 from vh2kg.rdf import EX
-from vh2kg.skipgram import parse_vectors
+from vh2kg.skipgram import (EmbeddingModel, _unescape_token, export_vectors,
+                            parse_vectors)
 
 SCRIPT = str(fixture_path("scripts", "carry_box.txt"))
 ENV = str(fixture_path("environment.json"))
@@ -124,6 +128,16 @@ def test_name_minting_invalid_iri_is_exit_1(capsys, tmp_path):
     assert (code, out) == (1, "")
 
 
+def test_bad_state_token_is_exit_1(capsys, tmp_path):
+    env = json.loads(Path(ENV).read_text(encoding="utf-8"))
+    next(n for n in env["nodes"] if not n.get("is_room")
+         and not n.get("is_agent")).setdefault("states", []).append("ON FIRE")
+    bad_env = tmp_path / "environment.json"
+    bad_env.write_text(json.dumps(env))
+    code, out = run(capsys, "build-kg", SCRIPT, str(bad_env), "--format", "ttl")
+    assert (code, out) == (1, "")
+
+
 def test_bad_usage_is_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -184,6 +198,29 @@ def test_cluster_reads_tokens_with_separators(capsys, tmp_path):
     assert "Tab\there" in parse_vectors(vectors.read_text(encoding="utf-8"))[0]
     code, _ = run(capsys, "cluster", str(vectors), "-k", "10", "--seed", "7")
     assert code == 0
+
+
+def test_cluster_and_neighbors_keep_one_row_per_token(capsys, tmp_path):
+    """Literal tokens hold CSV and TSV separators; each output row still
+    reads back as one token."""
+    tokens = [EX + "a", 'a, "quoted" token', "two\nlines", "tab\there",
+              "back\\slash\r"]
+    matrix = np.arange(1.0, 1.0 + 2 * len(tokens)).reshape(len(tokens), 2)
+    vectors = tmp_path / "v.tsv"
+    vectors.write_text(export_vectors(EmbeddingModel(tokens, matrix, matrix)),
+                       encoding="utf-8")
+    code, out = run(capsys, "cluster", str(vectors), "-k", "2")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert all(len(row) == 2 for row in rows)
+    assert [row[0] for row in rows] == tokens
+    code, out = run(capsys, "neighbors", str(vectors), EX + "a", "-n", "10")
+    assert code == 0
+    lines = out.split("\n")
+    assert lines.pop() == ""
+    fields = [line.split("\t") for line in lines]
+    assert all(len(f) == 2 for f in fields)
+    assert sorted(_unescape_token(f[1], 0) for f in fields) == sorted(tokens[1:])
 
 
 def test_cluster_malformed_vectors_is_exit_1(capsys, tmp_path):

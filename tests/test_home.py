@@ -7,7 +7,7 @@ from vh2kg.errors import (DanglingEdge, DuplicateId, InvalidName, NoAgent,
                           Orphan, ScoreOutOfRange)
 from vh2kg.home import (AffordanceRecord, BoundingBox, afforded_verbs,
                         dump_environment, filter_affordances,
-                        load_environment)
+                        load_environment, read_affordance_csv)
 
 
 def toy_document():
@@ -80,6 +80,28 @@ def test_class_name_outside_iri_alphabet(name):
     doc["nodes"][2]["class_name"] = name
     with pytest.raises(InvalidName):
         load_environment(doc)
+
+
+@pytest.mark.parametrize("field, node, kind", [("states", 1, "state"),
+                                               ("properties", 2, "property")])
+@pytest.mark.parametrize("token", ["ON FIRE", "a>b", ""])
+def test_token_outside_iri_alphabet(field, node, kind, token):
+    """States and properties become ontology IRIs, so they are checked
+    like class names."""
+    doc = toy_document()
+    doc["nodes"][node][field].append(token)
+    with pytest.raises(InvalidName, match=f"^{kind} {token!r}"):
+        load_environment(doc)
+
+
+def test_affordance_verb_outside_iri_alphabet(tmp_path):
+    path = tmp_path / "affordances.csv"
+    path.write_text("object_class,verb,s1\nmug,grab,5\nmug,pick up,5\n",
+                    encoding="utf-8")
+    with pytest.raises(InvalidName, match="affordance verb 'pick up'"):
+        read_affordance_csv(path)
+    path.write_text("object_class,verb,s1\nmug,grab,5\n", encoding="utf-8")
+    assert read_affordance_csv(path) == [AffordanceRecord("mug", "grab", (5.0,))]
 
 
 def test_bbox_top_and_distance():

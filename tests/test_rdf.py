@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from vh2kg import rdf
 from vh2kg.errors import NTriplesSyntaxError
 from vh2kg.pipeline import analysis_report, evaluate_findings
-from vh2kg.rdf import (RDF, XSD_DECIMAL, XSD_INT, XSD_STRING, KgDocument,
-                       KgIndex, Literal, Triple, _escape, _qname, decimal,
-                       graph_stats, integer, parse_ntriples, serialize_ntriples,
-                       serialize_turtle, string)
+from vh2kg.rdf import (EX, PREFIXES, RDF, VH2KG, XSD_DECIMAL, XSD_INT,
+                       XSD_STRING, KgDocument, KgIndex, Literal, Triple,
+                       _escape, _qnamer, decimal, graph_stats, integer,
+                       parse_ntriples, serialize_ntriples, serialize_turtle,
+                       string)
 from vh2kg.risk import detect_risks, explain
 from vh2kg.walks import WalkConfig, activity_roots, wl_relabel
 
@@ -127,11 +128,48 @@ def test_turtle_prefixes_and_qnames(base_doc):
     assert '^^xsd:int' in ttl
 
 
+def oracle_sorted(doc):
+    """The keyed sort that ``sorted_triples()`` replaced."""
+    return sorted(doc.triples, key=Triple.sort_key)
+
+
+def oracle_ntriples(doc):
+    """The per-triple N-Triples writer that the per-subject one replaced."""
+    def term(o):
+        if isinstance(o, str):
+            return f"<{o}>"
+        if o.datatype == XSD_STRING:
+            return f'"{_escape(o.lexical)}"'
+        return f'"{_escape(o.lexical)}"^^<{o.datatype}>'
+    lines = [f"<{t.subject}> <{t.predicate}> {term(t.object)} ."
+             for t in oracle_sorted(doc)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+_LOCAL_RE = re.compile(r"^[A-Za-z0-9_.-]*$")
+
+
+def _qname(iri, prefixes):
+    """Per-prefix qname lookup, the oracle for ``rdf._qnamer``.  Its ``$``
+    also accepts a local part that ends in a line break; ``_qnamer`` does
+    not."""
+    best = None
+    for prefix, ns in prefixes.items():
+        if iri.startswith(ns) and (best is None or len(ns) > len(prefixes[best])):
+            local = iri[len(ns):]
+            if _LOCAL_RE.match(local) and not local.startswith((".", "-")) \
+                    and not local.endswith("."):
+                best = prefix
+    if best is None:
+        return f"<{iri}>"
+    return f"{best}:{iri[len(prefixes[best]):]}"
+
+
 def reference_turtle(doc):
     """Turtle with _qname called afresh for every term."""
     out = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in doc.prefixes.items()]
     out.append("")
-    for t in doc.sorted_triples():
+    for t in oracle_sorted(doc):
         p = "a" if t.predicate == RDF + "type" else _qname(t.predicate, doc.prefixes)
         o = t.object
         if isinstance(o, str):
@@ -278,11 +316,12 @@ def test_cache_is_not_part_of_the_document():
 def test_serializers_share_one_sort(monkeypatch):
     doc = sample_doc()
     calls = []
-    key = Triple.sort_key
-    monkeypatch.setattr(Triple, "sort_key", lambda t: calls.append(t) or key(t))
+    order = rdf._canonical_order
+    monkeypatch.setattr(rdf, "_canonical_order",
+                        lambda triples: calls.append(triples) or order(triples))
     serialize_ntriples(doc)
     serialize_turtle(doc)
-    assert len(calls) == len(doc.triples)
+    assert len(calls) == 1
     assert isinstance(doc.sorted_triples(), tuple)
 
 
@@ -307,3 +346,124 @@ def test_one_index_per_document(base_doc, ground_truth, monkeypatch):
     assert len(activity_roots(doc)) == 20
     wl_relabel(doc, WalkConfig(depth=2, walks_per_entity=2, wl_iterations=1))
     assert len(builds) == 1 and builds[0] is doc
+
+
+# -- the per-subject order and writers against their per-triple oracles ----
+
+# Subjects that are prefixes of one another; IRIs equal to a namespace or
+# outside every namespace; local parts with ".", "-", "/" and non-ASCII.
+_TERMS = [EX + local for local in ("a", "a1", "a.b", "a_", "a-", "a/b", "café",
+                                   "b.", "-b", ".b", "")]
+_TERMS += [VH2KG, VH2KG + "Activity", "http://x/a", "http://x/a1", "urn:x"]
+_TERM_PREDICATES = [RDF + "type", VH2KG + "p", VH2KG + "p.q", "http://x/p"]
+_LEXICAL_FORMS = st.one_of(
+    st.sampled_from(['say "hi"', "back\\slash", "two\nlines", "tab\there",
+                     "café ☃", "", EX + "a"]),
+    st.text(max_size=6))
+_TERM_LITERALS = st.builds(
+    Literal, _LEXICAL_FORMS,
+    st.sampled_from([XSD_STRING, XSD_INT, XSD_DECIMAL, "http://x/dt", EX + "a.b"]))
+# Few subjects and predicates, so an IRI and a literal often share (s, p);
+# the flag replaces a subject by an equal string that is another object.
+_TERM_ROWS = st.lists(st.tuples(st.sampled_from(_TERMS), st.booleans(),
+                                st.sampled_from(_TERM_PREDICATES),
+                                st.one_of(st.sampled_from(_TERMS), _TERM_LITERALS)),
+                      max_size=40)
+
+
+def term_doc(rows):
+    doc = KgDocument()
+    doc.add_all(Triple("".join(list(s)) if copy else s, p, o)
+                for s, copy, p, o in rows)
+    return doc
+
+
+_TTL_PREFIX = re.compile(r"@prefix ([A-Za-z0-9_-]*): <([^>]*)> \.")
+_TTL_IRI = r"<[^>]*>|[A-Za-z0-9_-]*:\S*"
+_TTL_LINE = re.compile(
+    rf'({_TTL_IRI}) (a|{_TTL_IRI}) '
+    rf'(?:({_TTL_IRI})|"((?:[^"\\]|\\.)*)"(?:\^\^({_TTL_IRI}))?) \.')
+_TTL_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+
+
+def read_turtle(text):
+    """Reader for exactly the Turtle that ``serialize_turtle`` writes:
+    ``@prefix`` lines, a blank line, then one ``s p o .`` per line with
+    ``a``, ``prefix:local`` and ``<iri>`` terms and ``"..."`` or
+    ``"..."^^term`` literals."""
+    head, _, body = text.partition("\n\n")
+    prefixes = dict(_TTL_PREFIX.fullmatch(line).groups()
+                    for line in head.split("\n"))
+
+    def iri(term):
+        if term.startswith("<"):
+            return term[1:-1]
+        prefix, _, local = term.partition(":")
+        return prefixes[prefix] + local
+
+    triples = set()
+    assert body.endswith("\n") or not body
+    for line in body.split("\n")[:-1]:
+        m = _TTL_LINE.fullmatch(line)
+        assert m, f"cannot read {line!r}"
+        s, p, o, lexical, datatype = m.groups()
+        if o is None:
+            lexical = re.sub(r"\\(.)", lambda e: _TTL_ESCAPES[e[1]], lexical)
+            o = Literal(lexical, iri(datatype) if datatype else XSD_STRING)
+        else:
+            o = iri(o)
+        triples.add(Triple(iri(s), RDF + "type" if p == "a" else iri(p), o))
+    return triples
+
+
+def test_canonical_order_sorts_mixed_objects_by_key():
+    """An IRI and a literal under one (s, p) do not compare as tuples."""
+    s, p = EX + "a", VH2KG + "p"
+    triples = [Triple(s, p, Literal("b")), Triple(s, p, "http://x/b"),
+               Triple(EX + "a1", p, "http://x/c"), Triple(s, p, Literal("a")),
+               Triple(s, p, "http://x/a")]
+    with pytest.raises(TypeError):
+        sorted(triples)
+    assert list(rdf._canonical_order(triples)) == sorted(triples,
+                                                         key=Triple.sort_key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TERM_ROWS)
+def test_writers_match_per_triple_oracles(rows):
+    doc = term_doc(rows)
+    assert list(doc.sorted_triples()) == oracle_sorted(doc)
+    nt, ttl = serialize_ntriples(doc), serialize_turtle(doc)
+    assert nt == oracle_ntriples(doc)
+    assert ttl == reference_turtle(doc)
+    assert read_turtle(ttl) == doc.triples
+    assert parse_ntriples(nt).triples == doc.triples
+
+
+def test_turtle_reads_back(base_doc):
+    assert read_turtle(serialize_turtle(base_doc)) == base_doc.triples
+
+
+_NAMESPACES = ["", "http://x/", "http://x/a", "http://x/a/", "http://x/a.",
+               EX, VH2KG, rdf.AN]
+_PREFIX_TABLES = st.lists(st.tuples(st.sampled_from(["", "ex", "p", "q-1", "x3"]),
+                                    st.sampled_from(_NAMESPACES)),
+                          max_size=6).map(dict)
+_QNAME_IRIS = st.tuples(st.sampled_from(_NAMESPACES),
+                        st.text(alphabet="ab1_.-/é\n", max_size=5)).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_PREFIX_TABLES, st.lists(_QNAME_IRIS, max_size=8))
+def test_qname_regex_matches_per_prefix_oracle(prefixes, iris):
+    qname = _qnamer(prefixes)
+    for iri in iris + iris:  # the second lookup of each comes from the memo
+        expected = f"<{iri}>" if iri.endswith("\n") else _qname(iri, prefixes)
+        assert qname(iri) == expected
+
+
+def test_qname_never_ends_in_a_line_break():
+    """The oracle's ``$`` accepts a local part ending in a line break."""
+    assert _qname(EX + "a\n", PREFIXES) == "ex:a\n"
+    assert _qnamer(PREFIXES)(EX + "a\n") == f"<{EX}a\n>"
+    assert _qnamer(PREFIXES)(EX + "a") == "ex:a"
