@@ -48,6 +48,10 @@ class ScoreOutOfRange(VH2KGError):
     pass
 
 
+class MalformedAffordances(VH2KGError):
+    """An affordance CSV row without a verb, or with a non-numeric score."""
+
+
 class InvalidName(VH2KGError):
     """A name that would be spliced into an IRI has characters outside
     [A-Za-z0-9_]."""
@@ -77,6 +81,12 @@ class NTriplesSyntaxError(VH2KGError):
 
 class MissingGeometry(VH2KGError):
     pass
+
+
+# --- pipeline ---
+
+class MissingSetting(VH2KGError):
+    """A pipeline input that is neither passed in nor named by the config."""
 
 
 # --- embeddings / clustering ---

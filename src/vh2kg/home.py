@@ -13,8 +13,8 @@ import math
 import re
 from dataclasses import dataclass, replace
 
-from .errors import (DanglingEdge, DuplicateId, InvalidName, NoAgent, Orphan,
-                     ScoreOutOfRange)
+from .errors import (DanglingEdge, DuplicateId, InvalidName,
+                     MalformedAffordances, NoAgent, Orphan, ScoreOutOfRange)
 
 RELATIONS = frozenset({"INSIDE", "ON", "CLOSE", "FACING", "HOLDS_RH", "HOLDS_LH"})
 
@@ -217,15 +217,22 @@ class AffordanceRecord:
 def read_affordance_csv(path) -> list[AffordanceRecord]:
     """Read `object_class,verb,s1,...` rows; fewer than 5 scores is tolerated.
 
-    A verb becomes an action IRI, so it must pass ``check_name``."""
+    A verb becomes an action IRI, so it must pass ``check_name``; any other
+    malformed row raises MalformedAffordances, naming its line."""
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#") or row[0] == "object_class":
                 continue
-            scores = tuple(float(v) for v in row[2:] if v != "")
+            try:
+                object_class, verb, *raw = row
+                scores = tuple(float(v) for v in raw if v != "")
+            except ValueError as exc:
+                raise MalformedAffordances(
+                    f"affordance CSV line {reader.line_num}: {exc}") from None
             records.append(AffordanceRecord(
-                row[0], check_name("affordance verb", row[1]), scores))
+                object_class, check_name("affordance verb", verb), scores))
     return records
 
 

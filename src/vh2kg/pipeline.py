@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import analytics, risk
 from .cluster import KMeansConfig, clusters_csv, kmeans
+from .errors import MissingSetting
 from .home import EnvironmentGraph
 from .rdf import KgDocument, graph_stats, serialize_ntriples, serialize_turtle
 from .scripts import ActivityScript
@@ -114,6 +115,10 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
     ``cfg.seed`` overrides the walk, skip-gram and k-means seeds."""
     from .fixtures import load_scripts_dir
 
+    for given, key, flag in ((scripts, "scripts_dir", "--scripts"),
+                             (env, "environment_file", "--environment")):
+        if given is None and not getattr(cfg, key):
+            raise MissingSetting(f"{flag} (config key {key}) is not set")
     cfg = replace(cfg, walk=replace(cfg.walk, seed=cfg.seed),
                   skipgram=replace(cfg.skipgram, seed=cfg.seed),
                   kmeans=replace(cfg.kmeans, seed=cfg.seed))

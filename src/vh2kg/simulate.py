@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import Unexecutable
 from .home import (BoundingBox, EnvironmentGraph, ObjectNode, RelationEdge,
-                   afforded_verbs)
+                   afforded_verbs, dump_environment)
 from .scripts import ActivityScript, ObjectRef, Step, insert_step
 
 POSTURES = ("STANDING", "SITTING", "LYING")
@@ -66,6 +66,8 @@ class SimulationState:
     held: tuple = (("LH", None), ("RH", None))  # hand -> object id
     clock_seconds: float = 0.0
     current_room_id: int | None = None
+    facing: tuple[int, int] | None = None  # set by turnTo/lookAt/find only
+    cfg: SimConfig = SimConfig()
 
     @property
     def held_map(self) -> dict:
@@ -105,73 +107,44 @@ def _room_of_point(env: EnvironmentGraph, x: float, z: float) -> ObjectNode | No
     return None
 
 
-def recompute_relations(state: SimulationState, cfg: SimConfig = SimConfig(),
-                        facing: tuple[int, int] | None = None,
-                        previous: SimulationState | None = None) -> SimulationState:
-    """Refresh CLOSE and INSIDE edges from geometry.
+def recompute_relations(state: SimulationState) -> tuple[RelationEdge, ...]:
+    """The relations of a situation, derived from its geometry on read.
 
-    CLOSE is inclusive at the threshold, and a held object is always CLOSE
-    to the agent; INSIDE follows the room whose floor area contains the node
-    center; ON edges are preserved; HOLDS edges follow ``state.held``; FACING
-    survives only when re-established by the current step (turnTo/lookAt/find).
-
-    ``previous`` is the state this one was stepped from, itself an output of
-    this function.  With it, only pairs that touch a moved node (the agent, a
-    node whose bbox changed, or one picked up or put down) are re-tested, and
-    the other CLOSE and INSIDE edges are taken over from ``previous``.
-    Without it, or when a room moved, CLOSE pairs come from a sort-and-sweep
-    on center x.  Either way the edges come out as ON, HOLDS, FACING, CLOSE
-    in node-pair order, then INSIDE in node order.
-    """
+    The edges come out as the stored ON edges, HOLDS per ``state.held``,
+    FACING when the step that led here set one (turnTo/lookAt/find), CLOSE
+    in node-pair order, then INSIDE in node order.  CLOSE pairs come from a
+    sort-and-sweep on center x and are inclusive at
+    ``state.cfg.close_threshold``; a held object is always CLOSE to the
+    agent.  INSIDE follows the room whose floor area contains the node
+    center.  No pipeline stage reads these; ``trace_to_json`` does."""
     env = state.graph
     agent = env.agent
-    edges = [e for e in env.edges if e.relation == "ON"]
+    edges = list(env.edges)
     for hand, oid in state.held:
         if oid is not None:
             edges.append(RelationEdge(agent.id, f"HOLDS_{hand}", oid))
-    if facing is not None:
-        edges.append(RelationEdge(facing[0], "FACING", facing[1]))
+    if state.facing is not None:
+        edges.append(RelationEdge(state.facing[0], "FACING", state.facing[1]))
 
     non_rooms = [n for n in env.nodes if not n.is_room]
     pos = {n.id: i for i, n in enumerate(non_rooms)}
-    held = state.held_ids() & pos.keys()  # a held room is CLOSE to nothing
-    if previous is None or previous.graph.rooms != env.rooms:
-        moved = set(pos)
-        close = dict.fromkeys(_sweep_close(non_rooms, cfg.close_threshold))
-        inside = {}
-    else:
-        before = previous.graph
-        moved = {agent.id} | (held ^ (previous.held_ids() & pos.keys()))
-        moved.update(n.id for n in non_rooms
-                     if (p := before.node(n.id)) is not n and p.bbox != n.bbox)
-        close = {(pos[e.from_id], pos[e.to_id]): e for e in before.edges
-                 if e.relation == "CLOSE"
-                 and e.from_id not in moved and e.to_id not in moved}
-        for m in moved:
-            a, i = env.node(m), pos[m]
-            for j, b in enumerate(non_rooms):
-                if j != i and a.bbox.distance_to(b.bbox) <= cfg.close_threshold:
-                    close[min(i, j), max(i, j)] = None
-        inside = {e.from_id: e for e in before.edges if e.relation == "INSIDE"}
-    for oid in held:
+    close = set(_sweep_close(non_rooms, state.cfg.close_threshold))
+    for oid in state.held_ids() & pos.keys():  # a held room is CLOSE to nothing
         i, j = sorted((pos[agent.id], pos[oid]))
-        close[i, j] = None
-
-    for i, j in sorted(close):
-        edges.append(close[i, j] or RelationEdge(non_rooms[i].id, "CLOSE", non_rooms[j].id))
+        close.add((i, j))
+    edges.extend(RelationEdge(non_rooms[i].id, "CLOSE", non_rooms[j].id)
+                 for i, j in sorted(close))
     for n in non_rooms:
-        if n.id not in moved:
-            if n.id in inside:
-                edges.append(inside[n.id])
-            continue
         room = _room_of_point(env, n.bbox.center[0], n.bbox.center[2])
         if room is not None:
             edges.append(RelationEdge(n.id, "INSIDE", room.id))
+    return tuple(edges)
 
-    room = _room_of_point(env, agent.bbox.center[0], agent.bbox.center[2])
-    return replace(state,
-                   graph=env.with_edges(edges),
-                   current_room_id=room.id if room else state.current_room_id)
+
+def _agent_room(env: EnvironmentGraph, default: int | None) -> int | None:
+    """Id of the room the agent stands in, or ``default`` outside every room."""
+    room = _room_of_point(env, env.agent.bbox.center[0], env.agent.bbox.center[2])
+    return room.id if room else default
 
 
 def _sweep_close(nodes: list[ObjectNode], threshold: float) -> list[tuple[int, int]]:
@@ -199,7 +172,9 @@ def initial_state(env: EnvironmentGraph, cfg: SimConfig = SimConfig()) -> Simula
     posture = next((p for p in POSTURES if p in agent.states), "STANDING")
     env = env.with_nodes({agent.id: replace(
         agent, states=(agent.states - set(POSTURES)) | {posture})})
-    return recompute_relations(SimulationState(graph=env, posture=posture), cfg)
+    env = env.with_edges(e for e in env.edges if e.relation == "ON")
+    return SimulationState(graph=env, posture=posture, cfg=cfg,
+                           current_room_id=_agent_room(env, None))
 
 
 def _is_close(state: SimulationState, obj: ObjectNode, cfg: SimConfig) -> bool:
@@ -260,11 +235,12 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
                  ) -> tuple[SimulationState, TransitionRecord]:
     """Apply one step; raises StepFailure when a precondition fails.
 
-    ``state`` comes from ``initial_state`` or an earlier step: its relations
-    are updated incrementally, not rebuilt."""
+    ``state`` comes from ``initial_state`` or an earlier step.  Its graph
+    keeps only the ON edges, which grab and putBack edit; the step sets the
+    agent's room, the FACING pair and the clock, and ``recompute_relations``
+    derives the other relations when they are read."""
     verb = step.verb
     pre = state
-    start_room = state.current_room_id
     duration = dm.seconds_for(verb)
     facing = None
 
@@ -300,8 +276,7 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
         ax, ay, az = agent.bbox.center
         env = state.graph.with_nodes({target.id: replace(
             target, bbox=BoundingBox((ax + cfg.hold_offset, ay, az), target.bbox.size))})
-        env = env.with_edges(e for e in env.edges
-                             if not (e.relation == "ON" and e.from_id == target.id))
+        env = env.with_edges(e for e in env.edges if e.from_id != target.id)
         state = replace(state, graph=env, held=tuple(sorted(held.items())))
     elif verb in ("switchOn", "switchOff"):
         target = _resolve(state, step.main_object)
@@ -358,8 +333,9 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
     else:
         raise StepFailure("UnknownVerb", verb)
 
-    state = recompute_relations(state, cfg, facing=facing, previous=pre)
-    state = replace(state, clock_seconds=pre.clock_seconds + duration)
+    state = replace(state, cfg=cfg, facing=facing,
+                    clock_seconds=pre.clock_seconds + duration,
+                    current_room_id=_agent_room(state.graph, pre.current_room_id))
     changed = diff_changed_ids(pre.graph, state.graph,
                                affordance_table=affordance_table)
     record = TransitionRecord(
@@ -367,7 +343,7 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
         step=step,
         duration_seconds=duration,
         changed_object_ids=frozenset(changed),
-        start_room_id=start_room,
+        start_room_id=pre.current_room_id,
         end_room_id=state.current_room_id,
     )
     return state, record
@@ -438,10 +414,10 @@ def check_executable(script: ActivityScript, env: EnvironmentGraph,
 
 def trace_to_json(trace: Trace) -> dict:
     """Debug export: per-situation environment JSON plus a transitions array."""
-    from .home import dump_environment
     return {
         "activity": trace.script.name,
-        "situations": [dump_environment(s.graph) for s in trace.situations],
+        "situations": [dump_environment(s.graph.with_edges(recompute_relations(s)))
+                       for s in trace.situations],
         "transitions": [
             {
                 "step_index": t.step_index,

@@ -138,6 +138,25 @@ def test_bad_state_token_is_exit_1(capsys, tmp_path):
     assert (code, out) == (1, "")
 
 
+@pytest.mark.parametrize("row", ["mug", "mug,grab,high"])
+def test_malformed_affordances_is_exit_1(capsys, caplog, tmp_path, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"object_class,verb,s1\n{row}\n", encoding="utf-8")
+    code, out = run(capsys, "check", SCRIPT, ENV, "--affordances", str(bad))
+    assert (code, out) == (1, "")
+    assert "affordance CSV line 2" in caplog.text
+
+
+@pytest.mark.parametrize("flags, unset", [
+    ((), "--scripts"),
+    (("--scripts", str(fixture_path("scripts"))), "--environment")])
+def test_pipeline_names_the_unset_flag(capsys, caplog, tmp_path, flags, unset):
+    code, out = run(capsys, "pipeline", *flags, "-o", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert f"{unset} (config key" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_usage_is_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

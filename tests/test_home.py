@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from vh2kg.errors import (DanglingEdge, DuplicateId, InvalidName, NoAgent,
-                          Orphan, ScoreOutOfRange)
+from vh2kg.errors import (DanglingEdge, DuplicateId, InvalidName,
+                          MalformedAffordances, NoAgent, Orphan,
+                          ScoreOutOfRange)
 from vh2kg.home import (AffordanceRecord, BoundingBox, afforded_verbs,
                         dump_environment, filter_affordances,
                         load_environment, read_affordance_csv)
@@ -102,6 +103,16 @@ def test_affordance_verb_outside_iri_alphabet(tmp_path):
         read_affordance_csv(path)
     path.write_text("object_class,verb,s1\nmug,grab,5\n", encoding="utf-8")
     assert read_affordance_csv(path) == [AffordanceRecord("mug", "grab", (5.0,))]
+
+
+@pytest.mark.parametrize("row, detail", [("mug", "expected at least 2"),
+                                         ("mug,grab,high", "'high'")])
+def test_malformed_affordance_row_names_its_line(tmp_path, row, detail):
+    path = tmp_path / "affordances.csv"
+    path.write_text(f"object_class,verb,s1\n# note\nmug,grab,5\n{row}\n",
+                    encoding="utf-8")
+    with pytest.raises(MalformedAffordances, match=f"line 4: .*{detail}"):
+        read_affordance_csv(path)
 
 
 def test_bbox_top_and_distance():

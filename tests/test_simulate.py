@@ -4,13 +4,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vh2kg import simulate
 from vh2kg.errors import Unexecutable
 from vh2kg.fixtures import load_fixture_environment
 from vh2kg.home import RelationEdge, load_environment
 from vh2kg.scripts import ActivityScript, ObjectRef, Step
 from vh2kg.simulate import (DurationModel, SimConfig, StepFailure,
                             check_executable, execute_step, initial_state,
-                            run_script, trace_to_json)
+                            recompute_relations, run_script, trace_to_json)
 
 
 def build_env(extra_nodes=(), extra_edges=()):
@@ -46,7 +47,7 @@ def script_of(*steps):
 
 
 def close_ids(state):
-    return {(e.from_id, e.to_id) for e in state.graph.edges
+    return {(e.from_id, e.to_id) for e in recompute_relations(state)
             if e.relation == "CLOSE"}
 
 
@@ -126,7 +127,8 @@ def test_held_object_rides_with_agent():
     agent_c = final.agent.bbox.center
     mug_c = final.node(3).bbox.center
     assert math.dist(agent_c, mug_c) < 1.0
-    assert any(e.relation.startswith("HOLDS") and e.to_id == 3 for e in final.edges)
+    assert any(e.relation.startswith("HOLDS") and e.to_id == 3
+               for e in recompute_relations(trace.situations[-1]))
 
 
 def test_switch_wrong_state():
@@ -165,14 +167,14 @@ def test_putback_places_on_top_face():
                        Step("walk", ObjectRef("table", 4)),
                        Step("putBack", ObjectRef("mug", 3), ObjectRef("table", 4)))
     trace = run_script(script, env)
-    final = trace.situations[-1].graph
-    mug = final.node(3)
+    mug = trace.situations[-1].graph.node(3)
     # bottom of the mug rests on the table top (0.9)
     assert mug.bbox.center[1] - mug.bbox.size[1] / 2 == pytest.approx(0.9)
+    edges = recompute_relations(trace.situations[-1])
     assert any(e.relation == "ON" and e.from_id == 3 and e.to_id == 4
-               for e in final.edges)
+               for e in edges)
     assert not any(e.relation.startswith("HOLDS") and e.to_id == 3
-                   for e in final.edges)
+                   for e in edges)
 
 
 def test_strict_mode_raises_with_report():
@@ -206,7 +208,7 @@ def test_custom_duration_model():
     assert trace.transitions[0].duration_seconds == pytest.approx(0.5)
 
 
-# --- incremental relations against the all-pairs recompute ----------------
+# --- derived relations against the all-pairs oracle ----------------------
 
 def _room_at(env, x, z):
     for room in env.rooms:
@@ -245,10 +247,8 @@ def all_pairs_relations(state, cfg, facing):
 
 def assert_matches_all_pairs(trace, cfg):
     for situation in trace.situations:
-        facing = next(((e.from_id, e.to_id) for e in situation.graph.edges
-                       if e.relation == "FACING"), None)
-        edges, room_id = all_pairs_relations(situation, cfg, facing)
-        assert situation.graph.edges == edges
+        edges, room_id = all_pairs_relations(situation, cfg, situation.facing)
+        assert recompute_relations(situation) == edges
         assert situation.current_room_id == room_id
 
 
@@ -264,10 +264,10 @@ def test_carried_room_matches_all_pairs():
                        Step("putBack", ObjectRef("kitchen", 1), ObjectRef("mug", 3)))
     trace = run_script(script, env)
     assert any(e.relation == "HOLDS_RH" and e.to_id == 1
-               for e in trace.situations[1].graph.edges)
+               for e in recompute_relations(trace.situations[1]))
     # the walk carries the room's floor away from the far mug
     assert not any(e.relation == "INSIDE" and e.from_id == 4
-                   for e in trace.situations[2].graph.edges)
+                   for e in recompute_relations(trace.situations[2]))
     assert_matches_all_pairs(trace, SimConfig())
 
 
@@ -314,7 +314,7 @@ def scenes(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(scenes())
-def test_incremental_relations_match_all_pairs(scene):
+def test_relations_match_all_pairs(scene):
     env, steps, cfg = scene
     # Keep the steps that succeed one after another, walking to the object
     # first where needed: a strict-executable script.
@@ -358,3 +358,23 @@ def test_run_script_shares_initial_state(scripts, affordance_table):
     fresh = run_script(scripts[1], load_fixture_environment(),
                        affordance_table=affordance_table)
     assert trace_to_json(second) == trace_to_json(fresh)
+
+
+def test_simulation_derives_no_relations(monkeypatch, scripts, affordance_table):
+    # Relations are derived only when read: simulating the corpus, strict
+    # and repair, never asks for them.
+    calls = []
+    derive = simulate.recompute_relations
+    monkeypatch.setattr(simulate, "recompute_relations",
+                        lambda state: calls.append(state) or derive(state))
+    env = load_fixture_environment()
+    for script in scripts:
+        trace = run_script(script, env, affordance_table=affordance_table)
+        walkless = replace(script, steps=[s for s in script.steps if s.verb != "walk"])
+        try:
+            run_script(walkless, env, mode="repair", affordance_table=affordance_table)
+        except Unexecutable:
+            pass
+    assert calls == []
+    trace_to_json(trace)  # the counter does see the reader's calls
+    assert len(calls) == len(trace.situations)
