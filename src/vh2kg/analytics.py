@@ -39,22 +39,15 @@ def grab_frequency(doc: KgDocument) -> list[tuple[str, int]]:
     return _ranked(counts)
 
 
-def state_change_frequency(doc: KgDocument,
-                           include_coordinate_only: bool = False) -> list[tuple[str, int]]:
-    """Objects ranked by the number of state transitions.
-
-    By default only transitions where the state-token set changed count;
-    include_coordinate_only also counts pure coordinate moves.
-    """
+def state_change_frequency(doc: KgDocument) -> list[tuple[str, int]]:
+    """Objects ranked by the number of state transitions that changed the
+    state-token set; pure coordinate moves do not count."""
     idx = doc.index()
     counts: dict[str, int] = {}
     for t in idx.by_predicate.get(S.NEXT_STATE, ()):
         before, after = t.subject, t.object
-        if not include_coordinate_only:
-            tokens_before = set(idx.objects(before, S.STATE_PROP))
-            tokens_after = set(idx.objects(after, S.STATE_PROP))
-            if tokens_before == tokens_after:
-                continue
+        if set(idx.objects(before, S.STATE_PROP)) == set(idx.objects(after, S.STATE_PROP)):
+            continue
         obj = idx.object(before, S.IS_STATE_OF)
         cls = _object_class(idx, obj) if obj else "?"
         counts[cls] = counts.get(cls, 0) + 1

@@ -1,4 +1,4 @@
-"""Lloyd's k-means with seeded kmeans++ or random initialization."""
+"""Lloyd's k-means with seeded kmeans++ initialization."""
 
 from __future__ import annotations
 
@@ -14,13 +14,10 @@ class KMeansConfig:
     k: int = 10
     max_iters: int = 100
     seed: int = 0
-    init: str = "kmeans++"   # or "random"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.init not in ("kmeans++", "random"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -31,8 +28,6 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _init_centroids(points: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
     rng = np.random.default_rng(cfg.seed)
     n = len(points)
-    if cfg.init == "random":
-        return points[rng.choice(n, size=cfg.k, replace=False)].copy()
     centroids = [points[rng.integers(n)]]
     for _ in range(cfg.k - 1):
         d2 = _sq_dists(points, np.array(centroids)).min(axis=1)

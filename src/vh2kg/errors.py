@@ -89,6 +89,11 @@ class MissingSetting(VH2KGError):
     """A pipeline input that is neither passed in nor named by the config."""
 
 
+class BadConfig(VH2KGError):
+    """A pipeline config file that is not JSON, names an unknown key, or
+    holds a value its section rejects."""
+
+
 # --- embeddings / clustering ---
 
 class NoRoots(VH2KGError):

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import analytics, risk
 from .cluster import KMeansConfig, clusters_csv, kmeans
-from .errors import MissingSetting
+from .errors import BadConfig, MissingSetting
 from .home import EnvironmentGraph
 from .rdf import KgDocument, graph_stats, serialize_ntriples, serialize_turtle
 from .scripts import ActivityScript
@@ -45,27 +45,38 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        raw = json.loads(Path(path).read_text())
-        cfg = cls(**{k: v for k, v in raw.items()
-                     if k in ("scripts_dir", "environment_file", "affordance_file",
-                              "ground_truth_file", "output_dir", "mode", "seed",
-                              "scene_id")})
-        if "formats" in raw:
-            cfg = replace(cfg, formats=tuple(raw["formats"]))
-        if "sim" in raw:
-            cfg = replace(cfg, sim=SimConfig(**raw["sim"]))
-        if "duration" in raw:
-            cfg = replace(cfg, duration=DurationModel(**raw["duration"]))
-        if "walk" in raw:
-            walk = dict(raw["walk"])
-            if "skip_predicates" in walk:
-                walk["skip_predicates"] = frozenset(walk["skip_predicates"])
-            cfg = replace(cfg, walk=WalkConfig(**walk))
-        if "skipgram" in raw:
-            cfg = replace(cfg, skipgram=SkipGramConfig(**raw["skipgram"]))
-        if "kmeans" in raw:
-            cfg = replace(cfg, kmeans=KMeansConfig(**raw["kmeans"]))
-        return cfg
+        """Read a config file.  A nested object builds its section from that
+        section's own defaults; malformed JSON, an unknown key or a bad
+        value raises ``BadConfig``."""
+        try:
+            raw = json.loads(Path(path).read_text())
+        except ValueError as exc:
+            raise BadConfig(f"{path}: not valid JSON ({exc})") from None
+        return _from_dict(cls, raw, str(path))
+
+
+def _from_dict(cls, raw, where: str):
+    """An instance of the dataclass ``cls`` built from the JSON object ``raw``.
+    Each field is read as the type of its default: a dataclass from a
+    nested object, a tuple or frozenset from a list."""
+    if not isinstance(raw, dict):
+        raise BadConfig(f"{where}: expected a JSON object")
+    unknown = sorted(raw.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise BadConfig(f"{where}: unknown key(s) {', '.join(unknown)}")
+    default = cls()
+    values = {}
+    try:
+        for key, value in raw.items():
+            kind = type(getattr(default, key))
+            if is_dataclass(kind):
+                value = _from_dict(kind, value, f"{where}: {key}")
+            elif kind in (tuple, frozenset):
+                value = kind(value)
+            values[key] = value
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise BadConfig(f"{where}: {exc}") from None
 
 
 def simulate_corpus(scripts: list[ActivityScript], env: EnvironmentGraph,

@@ -112,18 +112,15 @@ def _matches(rule: RiskRule, verb: str, agent_cy, agent_h, obj_cy, obj_h) -> boo
 
 def eval_rules_trace(trace: Trace, meta: ActivityMeta, rules=("R1", "R2"),
                      affordance_table=None) -> list[RiskFinding]:
+    """R1/R2 findings read straight from a trace.
+
+    ``affordance_table`` stays for existing callers and is unused: which
+    objects changed at a step is decided once, by the simulator, in
+    ``changed_object_ids``."""
     f = IriFactory.for_meta(meta)
     agent_node = trace.situations[0].graph.agent
     agent_iri = f.agent()
     findings = []
-    state_idx_cache: dict[int, list[int]] = {}
-
-    def state_index(node_id, situation_no):
-        if node_id not in state_idx_cache:
-            state_idx_cache[node_id] = state_indices(
-                trace, node_id, affordance_table)
-        return state_idx_cache[node_id][situation_no]
-
     for n, tr in enumerate(trace.transitions):
         pre = trace.situations[n].graph
         agent = pre.node(agent_node.id)
@@ -146,8 +143,10 @@ def eval_rules_trace(trace: Trace, meta: ActivityMeta, rules=("R1", "R2"),
                 ev = f.event(n)
                 sit = f.situation(n)
                 obj_iri = f.object(node)
-                a_state = f.state(state_index(agent.id, n), agent)
-                o_state = f.state(state_index(node.id, n), node)
+                a_minted = state_indices(trace, agent.id)[n]
+                o_minted = state_indices(trace, node.id)[n]
+                a_state = f.state(a_minted, agent)
+                o_state = f.state(o_minted, node)
                 path = (
                     (f.activity(), S.HAS_EVENT, ev),
                     (ev, S.ACTION, S.action_iri(tr.step.verb)),
@@ -155,10 +154,10 @@ def eval_rules_trace(trace: Trace, meta: ActivityMeta, rules=("R1", "R2"),
                     (ev, S.SITUATION_BEFORE, sit),
                     (a_state, S.IS_STATE_OF, agent_iri),
                     (a_state, S.PART_OF, sit),
-                    (a_state, S.BBOX, f.shape(state_index(agent.id, n), agent)),
+                    (a_state, S.BBOX, f.shape(a_minted, agent)),
                     (o_state, S.IS_STATE_OF, obj_iri),
                     (o_state, S.PART_OF, sit),
-                    (o_state, S.BBOX, f.shape(state_index(node.id, n), node)),
+                    (o_state, S.BBOX, f.shape(o_minted, node)),
                 )
                 findings.append(RiskFinding(
                     activity_iri=f.activity(), event_iri=ev, rule_id=rule.id,

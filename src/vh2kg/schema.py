@@ -1,6 +1,7 @@
 """Vocabulary constants for the event-centric knowledge-graph schema."""
 
 from .rdf import AN, HO, HRA, RDF, RDFS, VH2KG, X3DO
+from .scripts import CATEGORIES
 
 # classes
 ACTIVITY = VH2KG + "Activity"
@@ -13,11 +14,7 @@ CHARACTER = VH2KG + "Character"
 ROOM = VH2KG + "Room"
 SHAPE = X3DO + "Shape"
 
-CATEGORY_CLASSES = {name: HO + name for name in (
-    "BedTimeSleep", "EatingDrinking", "FoodPreparation", "GettingReady",
-    "HouseArrangement", "HouseCleaning", "HygieneStyling", "Leisure",
-    "PhysicalActivity", "SocialInteraction", "Work", "Other",
-)}
+CATEGORY_CLASSES = {name: HO + name for name in CATEGORIES}
 
 # risk vocabulary
 RISK_EVENT = HRA + "RiskEvent"

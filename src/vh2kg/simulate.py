@@ -336,32 +336,25 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
     state = replace(state, cfg=cfg, facing=facing,
                     clock_seconds=pre.clock_seconds + duration,
                     current_room_id=_agent_room(state.graph, pre.current_room_id))
-    changed = diff_changed_ids(pre.graph, state.graph,
-                               affordance_table=affordance_table)
     record = TransitionRecord(
         step_index=step_index,
         step=step,
         duration_seconds=duration,
-        changed_object_ids=frozenset(changed),
+        changed_object_ids=frozenset(diff_changed_ids(pre.graph, state.graph)),
         start_room_id=pre.current_room_id,
         end_room_id=state.current_room_id,
     )
     return state, record
 
 
-def diff_changed_ids(before: EnvironmentGraph, after: EnvironmentGraph,
-                     affordance_table=None) -> set[int]:
-    """Ids of objects whose state tokens, bbox, or afforded verbs differ."""
-    changed = set()
-    for node in before.nodes:
-        other = after.node(node.id)
-        if other is node:
-            continue
-        if (node.states != other.states or node.bbox != other.bbox
-                or afforded_verbs(node, affordance_table)
-                != afforded_verbs(other, affordance_table)):
-            changed.add(node.id)
-    return changed
+def diff_changed_ids(before: EnvironmentGraph, after: EnvironmentGraph) -> set[int]:
+    """Ids of objects whose state tokens or bbox differ.
+
+    ``after`` comes from ``before`` by ``with_nodes``, which keeps node
+    order, so the two node tuples zip.  No step edits a class name or
+    properties, so an object's afforded verbs never change."""
+    return {a.id for a, b in zip(before.nodes, after.nodes)
+            if a is not b and (a.states != b.states or a.bbox != b.bbox)}
 
 
 def run_script(script: ActivityScript, env: EnvironmentGraph,

@@ -2,9 +2,10 @@
 
 One trace becomes: an activity node typed by category, numbered events with
 before/after situations, per-object state chains with shape geometry, and
-affordance/attribute links.  State nodes are minted only when an object's
-(state tokens, bbox, affordances) actually changed; otherwise the previous
-state instance is reused as part of the new situation.
+affordance/attribute links.  Each object gets a state node in situation 0
+and a new one after each step whose ``changed_object_ids`` names it;
+otherwise the previous state instance is reused as part of the new
+situation.
 """
 
 from __future__ import annotations
@@ -88,20 +89,13 @@ def _emit_collection(add, base: str, values) -> str:
     return cells[0]
 
 
-def state_indices(trace: Trace, node_id: int, affordance_table=None) -> list[int]:
+def state_indices(trace: Trace, node_id: int) -> list[int]:
     """Per situation, the index of the situation that minted the object's
-    current state node.  A new state is minted only when the object's
-    (state tokens, bbox, afforded verbs) changed."""
-    indices = []
-    prev_node = prev_fp = None
-    for n, situation in enumerate(trace.situations):
-        node = situation.graph.node(node_id)
-        if node is prev_node:  # shared unchanged by with_nodes
-            indices.append(indices[-1])
-            continue
-        fp = (node.states, node.bbox, afforded_verbs(node, affordance_table))
-        indices.append(n if fp != prev_fp else indices[-1])
-        prev_node, prev_fp = node, fp
+    current state node: situation 0, then each situation after a step whose
+    ``changed_object_ids`` names the object."""
+    indices = [0]
+    for n, tr in enumerate(trace.transitions, 1):
+        indices.append(n if node_id in tr.changed_object_ids else indices[-1])
     return indices
 
 
@@ -199,7 +193,7 @@ def _emit_activity(add, trace: Trace, meta: ActivityMeta,
                 add(iri, S.ATTRIBUTE, S.VH2KG + tok)
 
         prev_state_iri = None
-        for n, minted in enumerate(state_indices(trace, node.id, affordance_table)):
+        for n, minted in enumerate(state_indices(trace, node.id)):
             if minted != n:
                 add(prev_state_iri, S.PART_OF, situations[n])
                 continue

@@ -2,11 +2,13 @@ from dataclasses import replace
 
 import pytest
 
+from vh2kg.errors import Unexecutable
 from vh2kg.fixtures import (load_fixture_affordance_table,
                             load_fixture_environment, load_fixture_ground_truth,
                             load_fixture_scripts)
 from vh2kg.pipeline import simulate_corpus
 from vh2kg.rdf import KgDocument
+from vh2kg.simulate import run_script
 from vh2kg.synth import build_activity_kg
 
 
@@ -43,6 +45,23 @@ def base_runs(base_env, scripts, affordance_table):
 @pytest.fixture(scope="session")
 def fp_runs(fp_env, scripts, affordance_table):
     return simulate_corpus(scripts, fp_env, affordance_table=affordance_table)
+
+
+@pytest.fixture(scope="session")
+def repair_traces(base_env, fp_env, scripts, affordance_table):
+    """Each fixture script with its walk steps dropped, run in repair mode
+    in both environments; the unexecutable copies are left out."""
+    traces = []
+    for env in (base_env, fp_env):
+        for script in scripts:
+            walkless = replace(script, steps=[s for s in script.steps
+                                              if s.verb != "walk"])
+            try:
+                traces.append(run_script(walkless, env, mode="repair",
+                                         affordance_table=affordance_table))
+            except Unexecutable:
+                pass
+    return traces
 
 
 @pytest.fixture(scope="session")

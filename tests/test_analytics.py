@@ -85,9 +85,6 @@ def test_state_change_frequency(base_doc):
     classes = dict(ranking)
     # switches and doors change state tokens in the corpus
     assert any(c > 0 for c in classes.values())
-    wider = dict(analytics.state_change_frequency(base_doc,
-                                                  include_coordinate_only=True))
-    assert sum(wider.values()) >= sum(classes.values())
 
 
 def test_duration_by_activity_filter(base_doc):

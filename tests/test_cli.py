@@ -157,6 +157,24 @@ def test_pipeline_names_the_unset_flag(capsys, caplog, tmp_path, flags, unset):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"walk": ', "not valid JSON"),
+    ('{"walk": {"depht": 3}}', "walk: unknown key(s) depht"),
+    ('{"seeed": 3}', "unknown key(s) seeed"),
+    ('{"walk": {"depth": 0}}', "walk: depth must be >= 1"),
+    ('{"formats": 3}', "not iterable"),
+    ('["seed"]', "expected a JSON object")])
+def test_bad_pipeline_config_is_exit_1(capsys, caplog, tmp_path, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    code = main(["pipeline", "--config", str(config), "-o", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "Traceback" not in captured.err
+    assert message in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_usage_is_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -80,9 +80,3 @@ def test_tie_breaks_to_lowest_index():
 def test_k_larger_than_points_raises():
     with pytest.raises(TooFewPoints):
         kmeans(np.zeros((3, 2)), KMeansConfig(k=5))
-
-
-def test_random_init_also_works():
-    points = two_blobs(np.random.default_rng(5), n=20)
-    _, _, inertia = kmeans(points, KMeansConfig(k=2, seed=0, init="random"))
-    assert inertia < 10.0

@@ -378,3 +378,17 @@ def test_simulation_derives_no_relations(monkeypatch, scripts, affordance_table)
     assert calls == []
     trace_to_json(trace)  # the counter does see the reader's calls
     assert len(calls) == len(trace.situations)
+
+
+def test_diff_changed_ids_ignores_equal_replacements():
+    env = load_fixture_environment()
+    node = next(n for n in env.nodes if not n.is_room and not n.is_agent)
+    twin = env.with_nodes({node.id: replace(node)})  # equal, distinct
+    assert twin.node(node.id) == node and twin.node(node.id) is not node
+    assert simulate.diff_changed_ids(env, twin) == set()
+    flipped = twin.with_nodes({node.id: replace(node, states=node.states ^ {"OPEN"})})
+    assert simulate.diff_changed_ids(twin, flipped) == {node.id}
+    x, y, z = node.bbox.center
+    moved = twin.with_nodes({node.id: replace(
+        node, bbox=replace(node.bbox, center=(x + 0.25, y, z)))})
+    assert simulate.diff_changed_ids(twin, moved) == {node.id}

@@ -163,8 +163,9 @@ def test_scene_id_outside_iri_alphabet(scene):
 
 
 def fingerprint_state_indices(trace, node_id, affordance_table=None):
-    """The fingerprint-every-situation loop that state_indices' identity
-    shortcut replaced; kept as its oracle."""
+    """Oracle for state_indices, which reads the simulator's change sets:
+    mint a state whenever the object's (state tokens, bbox, afforded verbs)
+    differ from the previous situation's."""
     indices, prev_fp = [], None
     for n, situation in enumerate(trace.situations):
         node = situation.graph.node(node_id)
@@ -174,31 +175,27 @@ def fingerprint_state_indices(trace, node_id, affordance_table=None):
     return indices
 
 
-def test_state_indices_match_fingerprint_oracle(base_runs, affordance_table):
-    for trace, _ in base_runs:
+def all_traces(base_runs, fp_runs, repair_traces):
+    return [t for t, _ in base_runs] + [t for t, _ in fp_runs] + repair_traces
+
+
+def test_state_indices_match_fingerprint_oracle(base_runs, fp_runs, repair_traces,
+                                                affordance_table):
+    for trace in all_traces(base_runs, fp_runs, repair_traces):
         for node in trace.situations[0].graph.nodes:
-            assert state_indices(trace, node.id, affordance_table) == \
+            assert state_indices(trace, node.id) == \
                 fingerprint_state_indices(trace, node.id, affordance_table)
 
 
-def test_state_indices_reuse_equal_but_distinct_nodes(base_runs, monkeypatch):
-    trace = base_runs[0][0]
-    g0 = trace.situations[0].graph
-    node = next(n for n in g0.nodes if not n.is_room and not n.is_agent)
-    g2 = g0.with_nodes({node.id: replace(node)})          # equal, distinct
-    g3 = g2.with_nodes({node.id: replace(node, states=node.states | {"OPEN"})})
-    g5 = g3.with_nodes({node.id: replace(node)})          # back, distinct
-    graphs = (g0, g0, g2, g3, g3, g5)
-    assert g2.node(node.id) == node and g2.node(node.id) is not node
-    edited = Trace(trace.script, tuple(SimulationState(g) for g in graphs), ())
-
-    calls = []
-    monkeypatch.setattr(synth, "afforded_verbs",
-                        lambda n, *a: calls.append(n) or afforded_verbs(n, *a))
-    assert state_indices(edited, node.id) == [0, 0, 0, 3, 3, 5]
-    assert fingerprint_state_indices(edited, node.id) == [0, 0, 0, 3, 3, 5]
-    # one fingerprint per distinct node object in a row: g0, g2, g3, g5
-    assert len(calls) == 4
+def test_steps_keep_class_and_properties(base_runs, fp_runs, repair_traces):
+    # No step edits a class name or properties, so an object's afforded
+    # verbs never change and the change set need not compare them.
+    for trace in all_traces(base_runs, fp_runs, repair_traces):
+        first = {n.id: (n.class_name, n.properties)
+                 for n in trace.situations[0].graph.nodes}
+        for situation in trace.situations[1:]:
+            assert {n.id: (n.class_name, n.properties)
+                    for n in situation.graph.nodes} == first
 
 
 # The object-property table that callers could once pass in, as shipped:
