@@ -390,6 +390,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # stdout went away (e.g. piped into head); not our error
         return 0
+    except OSError as exc:
+        # an input path that cannot be read, e.g. a directory given as a file
+        log.error("%s", exc)
+        return 1
 
 
 if __name__ == "__main__":

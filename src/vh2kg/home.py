@@ -49,6 +49,8 @@ class BoundingBox:
     size: tuple[float, float, float]
 
     def __post_init__(self):
+        if len(self.center) != 3 or len(self.size) != 3:
+            raise ValueError(f"bbox center and size need 3 coordinates: {self}")
         if any(s < 0 for s in self.size):
             raise ValueError(f"negative bbox size: {self.size}")
 
@@ -90,37 +92,72 @@ class RelationEdge:
 
 @dataclass(frozen=True)
 class EnvironmentGraph:
+    """A scene snapshot.
+
+    The constructor indexes the nodes once: an id -> position map, the
+    agent's position and the room positions.  ``with_nodes`` and
+    ``with_edges`` keep node order, so a graph derived by them shares that
+    index and costs what the edit changes, not what the scene holds."""
     scene_id: str
     nodes: tuple[ObjectNode, ...]
     edges: tuple[RelationEdge, ...]
 
     def node(self, node_id: int) -> ObjectNode:
-        return self._by_id[node_id]
+        return self.nodes[self._pos[node_id]]
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_id", {n.id: n for n in self.nodes})
-        object.__setattr__(self, "_agent", next((n for n in self.nodes if n.is_agent), None))
-        object.__setattr__(self, "_rooms", tuple(n for n in self.nodes if n.is_room))
-        # simulate.run_script's initial state per SimConfig: every script
-        # over this scene starts from the same one.
-        object.__setattr__(self, "_initial_states", {})
+        nodes = self.nodes
+        room_at = tuple(i for i, n in enumerate(nodes) if n.is_room)
+        self.__dict__.update(
+            _pos={n.id: i for i, n in enumerate(nodes)},
+            _agent_at=next((i for i, n in enumerate(nodes) if n.is_agent), None),
+            _room_at=room_at,
+            _rooms=tuple(nodes[i] for i in room_at),
+            # simulate.run_script's initial state per SimConfig: every
+            # script over this scene starts from the same one.
+            _initial_states={})
+
+    def _derive(self, nodes, edges) -> "EnvironmentGraph":
+        """A graph over ``nodes`` in this graph's node order, sharing its index."""
+        graph = object.__new__(type(self))
+        rooms = (self._rooms if nodes is self.nodes
+                 else tuple(nodes[i] for i in self._room_at))
+        graph.__dict__.update(self.__dict__, nodes=nodes, edges=edges,
+                              _rooms=rooms, _initial_states={})
+        return graph
 
     @property
     def agent(self) -> ObjectNode:
-        if self._agent is None:
+        if self._agent_at is None:
             raise NoAgent(f"scene {self.scene_id} has no agent node")
-        return self._agent
+        return self.nodes[self._agent_at]
 
     @property
     def rooms(self) -> tuple[ObjectNode, ...]:
         return self._rooms
 
     def with_nodes(self, replacements: dict[int, ObjectNode]) -> "EnvironmentGraph":
-        nodes = tuple(replacements.get(n.id, n) for n in self.nodes)
-        return replace(self, nodes=nodes)
+        """This graph with the node of each id in ``replacements`` swapped
+        for its value; an id not in the graph is ignored."""
+        pos = self._pos
+        nodes = list(self.nodes)
+        # A repeated id, or a replacement that changes a node's id, agent
+        # flag or room flag, changes the index: that graph is built afresh.
+        rebuild = len(pos) != len(nodes)
+        for node_id, new in replacements.items():
+            i = pos.get(node_id)
+            if i is None or rebuild:
+                continue
+            old = nodes[i]
+            rebuild = (new.id, new.is_agent, new.is_room) != (old.id, old.is_agent, old.is_room)
+            nodes[i] = new
+        if rebuild:
+            return replace(self, nodes=tuple(
+                replacements.get(n.id, n) for n in self.nodes))
+        return self._derive(tuple(nodes), self.edges)
 
     def with_edges(self, edges) -> "EnvironmentGraph":
-        return replace(self, edges=tuple(edges))
+        return self._derive(self.nodes, tuple(edges))
 
 
 def load_environment(document: dict) -> EnvironmentGraph:

@@ -24,6 +24,10 @@ from .synth import ActivityMeta, IriFactory, build_activity_kg, snake_case
 from .walks import WalkConfig, wl_relabel
 
 
+#: Per-activity file formats and their writers, in the order they are written.
+FORMATS = {"nt": serialize_ntriples, "ttl": serialize_turtle}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     scripts_dir: str = ""
@@ -34,7 +38,7 @@ class PipelineConfig:
     mode: str = "strict"
     seed: int = 0
     scene_id: str = "scene1"
-    formats: tuple = ("nt", "ttl")
+    formats: tuple = tuple(FORMATS)
     sim: SimConfig = SimConfig()
     duration: DurationModel = DurationModel()
     walk: WalkConfig = field(default_factory=lambda: WalkConfig(
@@ -43,38 +47,47 @@ class PipelineConfig:
         vector_size=64, window=5, epochs=5))
     kmeans: KMeansConfig = KMeansConfig()
 
+    def __post_init__(self):
+        unknown = [fmt for fmt in self.formats if fmt not in FORMATS]
+        if unknown:
+            raise ValueError(f"unknown format(s) {', '.join(map(repr, unknown))}; "
+                             f"choose from {', '.join(FORMATS)}")
+
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        """Read a config file.  A nested object builds its section from that
-        section's own defaults; malformed JSON, an unknown key or a bad
-        value raises ``BadConfig``."""
+        """Read a config file.  A nested object sets only the keys it names
+        and keeps the pipeline's defaults for the rest of its section;
+        malformed JSON, an unknown key or a bad value raises ``BadConfig``."""
         try:
             raw = json.loads(Path(path).read_text())
         except ValueError as exc:
             raise BadConfig(f"{path}: not valid JSON ({exc})") from None
-        return _from_dict(cls, raw, str(path))
+        return _from_dict(cls(), raw, str(path))
 
 
-def _from_dict(cls, raw, where: str):
-    """An instance of the dataclass ``cls`` built from the JSON object ``raw``.
-    Each field is read as the type of its default: a dataclass from a
-    nested object, a tuple or frozenset from a list."""
+def _from_dict(default, raw, where: str):
+    """The dataclass instance ``default`` with the keys of the JSON object
+    ``raw`` applied.  Each value is read as the type of the default it
+    replaces: a nested object is applied to that section's default, a list
+    becomes a tuple or frozenset."""
     if not isinstance(raw, dict):
         raise BadConfig(f"{where}: expected a JSON object")
-    unknown = sorted(raw.keys() - {f.name for f in fields(cls)})
+    unknown = sorted(raw.keys() - {f.name for f in fields(default)})
     if unknown:
         raise BadConfig(f"{where}: unknown key(s) {', '.join(unknown)}")
-    default = cls()
     values = {}
     try:
         for key, value in raw.items():
-            kind = type(getattr(default, key))
+            current = getattr(default, key)
+            kind = type(current)
             if is_dataclass(kind):
-                value = _from_dict(kind, value, f"{where}: {key}")
+                value = _from_dict(current, value, f"{where}: {key}")
             elif kind in (tuple, frozenset):
+                if isinstance(value, str):
+                    raise ValueError(f"{key} must be a list, not a string")
                 value = kind(value)
             values[key] = value
-        return cls(**values)
+        return replace(default, **values)
     except (TypeError, ValueError) as exc:
         raise BadConfig(f"{where}: {exc}") from None
 
@@ -154,7 +167,7 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
         activity_doc = build_activity_kg(trace, meta, affordance_table)
         doc.update(activity_doc)
         name = IriFactory.for_meta(meta).local
-        for fmt, render in (("nt", serialize_ntriples), ("ttl", serialize_turtle)):
+        for fmt, render in FORMATS.items():
             if fmt in cfg.formats:
                 path = out / f"{name}.{fmt}"
                 path.write_text(render(activity_doc), encoding="utf-8")

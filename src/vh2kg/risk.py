@@ -187,11 +187,9 @@ def _geometry(idx: KgIndex, entity: str, situation: str) -> tuple[float, float]:
     """(center_y, height) of an entity in the given situation."""
     # Search from the situation side: one scene's states, where the entity
     # side (the agent IRI is shared by every activity) spans the corpus.
-    state = None
-    for s in idx.subjects(S.PART_OF, situation):
-        if entity in idx.objects(s, S.IS_STATE_OF):
-            state = s
-            break
+    # Each candidate costs one lookup in the triple set.
+    state = next((s for s in idx.subjects(S.PART_OF, situation)
+                  if idx.has(s, S.IS_STATE_OF, entity)), None)
     if state is None:
         raise MissingGeometry(f"no state of {entity} in {situation}")
     shape = idx.object(state, S.BBOX)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import schema as S
 from .errors import InvalidTrace
 from .home import PROPERTY_VERBS, ObjectNode, afforded_verbs, check_name
-from .rdf import EX, KgDocument, Triple, _paused_gc, decimal, integer, string
+from .rdf import EX, KgDocument, _as_triple, _paused_gc, decimal, integer, string
 from .simulate import Trace
 
 
@@ -80,15 +80,6 @@ def _node_iri(factory: IriFactory, node: ObjectNode) -> str:
     return factory.agent() if node.is_agent else factory.object(node)
 
 
-def _emit_collection(add, base: str, values) -> str:
-    """Ordered 3-element RDF collection with deterministic cell IRIs."""
-    cells = [f"{base}_cell{i}" for i in range(len(values))]
-    for i, (cell, value) in enumerate(zip(cells, values)):
-        add(cell, S.RDF_FIRST, decimal(value))
-        add(cell, S.RDF_REST, cells[i + 1] if i + 1 < len(values) else S.RDF_NIL)
-    return cells[0]
-
-
 def state_indices(trace: Trace, node_id: int) -> list[int]:
     """Per situation, the index of the situation that minted the object's
     current state node: situation 0, then each situation after a step whose
@@ -106,20 +97,19 @@ def build_activity_kg(trace: Trace, meta: ActivityMeta,
         raise InvalidTrace("trace must carry one more situation than transitions")
     if doc is None:
         doc = KgDocument()
-    triples = []
-    append = triples.append
-
-    def add(s, p, o):
-        append(Triple(s, p, o))
-
     with _paused_gc():
-        _emit_activity(add, trace, meta, affordance_table)
-        doc.add_all(triples)
+        # The batch of plain tuples is dropped before collection resumes,
+        # so no collection scans it next to the document's Triples.
+        doc.add_all(map(_as_triple, _emit_activity(trace, meta, affordance_table)))
     return doc
 
 
-def _emit_activity(add, trace: Trace, meta: ActivityMeta,
-                   affordance_table) -> None:
+def _emit_activity(trace: Trace, meta: ActivityMeta,
+                   affordance_table) -> list[tuple]:
+    """The activity's triples as plain ``(s, p, o)`` tuples."""
+    out = []
+    add = out.append
+    extend = out.extend
     f = IriFactory.for_meta(meta)
     activity = f.activity()
     agent_iri = f.agent()
@@ -129,90 +119,101 @@ def _emit_activity(add, trace: Trace, meta: ActivityMeta,
     situations = [f.situation(n) for n in range(len(trace.situations))]
 
     category_class = S.CATEGORY_CLASSES.get(meta.category, S.CATEGORY_CLASSES["Other"])
-    add(activity, S.RDF_TYPE, category_class)
-    add(activity, S.RDF_TYPE, S.ACTIVITY)
-    add(category_class, S.RDFS_SUBCLASS, S.ACTIVITY)
-    add(activity, S.RDFS_LABEL, string(meta.name))
+    extend(((activity, S.RDF_TYPE, category_class),
+            (activity, S.RDF_TYPE, S.ACTIVITY),
+            (category_class, S.RDFS_SUBCLASS, S.ACTIVITY),
+            (activity, S.RDFS_LABEL, string(meta.name))))
     if meta.description:
-        add(activity, S.RDFS_COMMENT, string(meta.description))
-    add(activity, S.AGENT, agent_iri)
-    add(activity, S.VIRTUAL_HOME, f.scene_iri())
+        add((activity, S.RDFS_COMMENT, string(meta.description)))
     # round per-event durations first so the stored total is exactly their
     # sum even after fixed-point serialization
     rounded = [round(tr.duration_seconds, 9) for tr in trace.transitions]
-    add(activity, S.TIME_PROP, decimal(sum(rounded)))
-    add(agent_iri, S.RDF_TYPE, S.CHARACTER)
+    extend(((activity, S.AGENT, agent_iri),
+            (activity, S.VIRTUAL_HOME, f.scene_iri()),
+            (activity, S.TIME_PROP, decimal(sum(rounded))),
+            (agent_iri, S.RDF_TYPE, S.CHARACTER)))
 
     # events
+    env0 = trace.situations[0].graph
     for n, tr in enumerate(trace.transitions):
         ev = events[n]
-        add(activity, S.HAS_EVENT, ev)
-        add(ev, S.RDF_TYPE, S.EVENT)
+        extend(((activity, S.HAS_EVENT, ev),
+                (ev, S.RDF_TYPE, S.EVENT),
+                (ev, S.EVENT_NUMBER, integer(n)),
+                (ev, S.ACTION, S.action_iri(tr.step.verb)),
+                (ev, S.AGENT, agent_iri),
+                (ev, S.SITUATION_BEFORE, situations[n]),
+                (ev, S.SITUATION_AFTER, situations[n + 1]),
+                (ev, S.TIME_PROP, decimal(rounded[n]))))
         if n == n_events - 1:
-            add(ev, S.RDF_TYPE, S.END_EVENT)
-        add(ev, S.EVENT_NUMBER, integer(n))
-        add(ev, S.ACTION, S.action_iri(tr.step.verb))
-        add(ev, S.AGENT, agent_iri)
-        env0 = trace.situations[0].graph
+            add((ev, S.RDF_TYPE, S.END_EVENT))
         if tr.step.main_object is not None:
-            add(ev, S.MAIN_OBJECT, _node_iri(f, env0.node(tr.step.main_object.id)))
+            add((ev, S.MAIN_OBJECT, _node_iri(f, env0.node(tr.step.main_object.id))))
         if tr.step.target_object is not None:
-            add(ev, S.TARGET_OBJECT, _node_iri(f, env0.node(tr.step.target_object.id)))
+            add((ev, S.TARGET_OBJECT, _node_iri(f, env0.node(tr.step.target_object.id))))
         if n > 0:
-            add(ev, S.PREVIOUS_EVENT, events[n - 1])
+            add((ev, S.PREVIOUS_EVENT, events[n - 1]))
         if n < n_events - 1:
-            add(ev, S.NEXT_EVENT, events[n + 1])
-        add(ev, S.SITUATION_BEFORE, situations[n])
-        add(ev, S.SITUATION_AFTER, situations[n + 1])
-        add(ev, S.TIME_PROP, decimal(rounded[n]))
+            add((ev, S.NEXT_EVENT, events[n + 1]))
         if tr.start_room_id == tr.end_room_id:
-            add(ev, S.PLACE, f.object(env0.node(tr.end_room_id)))
+            add((ev, S.PLACE, f.object(env0.node(tr.end_room_id))))
         else:
-            add(ev, S.FROM, f.object(env0.node(tr.start_room_id)))
-            add(ev, S.TO, f.object(env0.node(tr.end_room_id)))
+            extend(((ev, S.FROM, f.object(env0.node(tr.start_room_id))),
+                    (ev, S.TO, f.object(env0.node(tr.end_room_id)))))
 
     # situations
-    for situation in situations:
-        add(situation, S.RDF_TYPE, S.SITUATION)
+    extend((situation, S.RDF_TYPE, S.SITUATION) for situation in situations)
 
     # objects, states, shapes
-    env0 = trace.situations[0].graph
     for node in env0.nodes:
         iri = _node_iri(f, node)
-        add(iri, S.RDF_TYPE, S.HO + node.class_name)
+        add((iri, S.RDF_TYPE, S.HO + node.class_name))
         if node.is_room:
-            add(iri, S.RDF_TYPE, S.ROOM)
+            add((iri, S.RDF_TYPE, S.ROOM))
             continue
         height_iri = f.height(node)
-        add(iri, S.HEIGHT, height_iri)
-        add(height_iri, S.RDF_VALUE, decimal(node.height_meters))
+        extend(((iri, S.HEIGHT, height_iri),
+                (height_iri, S.RDF_VALUE, decimal(node.height_meters))))
         for verb in sorted(afforded_verbs(node, affordance_table)):
-            add(iri, S.AFFORDS, S.action_iri(verb))
+            add((iri, S.AFFORDS, S.action_iri(verb)))
         for tok in sorted(node.properties):
             if tok not in PROPERTY_VERBS:
-                add(iri, S.ATTRIBUTE, S.VH2KG + tok)
+                add((iri, S.ATTRIBUTE, S.VH2KG + tok))
 
         prev_state_iri = None
         for n, minted in enumerate(state_indices(trace, node.id)):
             if minted != n:
-                add(prev_state_iri, S.PART_OF, situations[n])
+                add((prev_state_iri, S.PART_OF, situations[n]))
                 continue
             current = trace.situations[n].graph.node(node.id)
             state_iri = f.state(n, node)
-            add(state_iri, S.RDF_TYPE, S.STATE)
-            add(state_iri, S.IS_STATE_OF, iri)
-            add(state_iri, S.PART_OF, situations[n])
-            for tok in sorted(current.states):
-                add(state_iri, S.STATE_PROP, S.VH2KG + tok)
-                add(S.VH2KG + tok, S.RDF_TYPE, S.STATE_TYPE)
             shape_iri = f.shape(n, node)
-            add(state_iri, S.BBOX, shape_iri)
-            add(shape_iri, S.RDF_TYPE, S.SHAPE)
-            add(shape_iri, S.BBOX_CENTER,
-                _emit_collection(add, f"{shape_iri}_center", current.bbox.center))
-            add(shape_iri, S.BBOX_SIZE,
-                _emit_collection(add, f"{shape_iri}_size", current.bbox.size))
+            # the center and size collections, three cells each
+            c0, c1, c2 = (shape_iri + "_center_cell0", shape_iri + "_center_cell1",
+                          shape_iri + "_center_cell2")
+            s0, s1, s2 = (shape_iri + "_size_cell0", shape_iri + "_size_cell1",
+                          shape_iri + "_size_cell2")
+            cx, cy, cz = current.bbox.center
+            sx, sy, sz = current.bbox.size
+            extend(((state_iri, S.RDF_TYPE, S.STATE),
+                    (state_iri, S.IS_STATE_OF, iri),
+                    (state_iri, S.PART_OF, situations[n]),
+                    (state_iri, S.BBOX, shape_iri),
+                    (shape_iri, S.RDF_TYPE, S.SHAPE),
+                    (shape_iri, S.BBOX_CENTER, c0),
+                    (c0, S.RDF_FIRST, decimal(cx)), (c0, S.RDF_REST, c1),
+                    (c1, S.RDF_FIRST, decimal(cy)), (c1, S.RDF_REST, c2),
+                    (c2, S.RDF_FIRST, decimal(cz)), (c2, S.RDF_REST, S.RDF_NIL),
+                    (shape_iri, S.BBOX_SIZE, s0),
+                    (s0, S.RDF_FIRST, decimal(sx)), (s0, S.RDF_REST, s1),
+                    (s1, S.RDF_FIRST, decimal(sy)), (s1, S.RDF_REST, s2),
+                    (s2, S.RDF_FIRST, decimal(sz)), (s2, S.RDF_REST, S.RDF_NIL)))
+            for tok in sorted(current.states):
+                tok_iri = S.VH2KG + tok
+                extend(((state_iri, S.STATE_PROP, tok_iri),
+                        (tok_iri, S.RDF_TYPE, S.STATE_TYPE)))
             if prev_state_iri is not None:
-                add(prev_state_iri, S.NEXT_STATE, state_iri)
-                add(state_iri, S.PREVIOUS_STATE, prev_state_iri)
+                extend(((prev_state_iri, S.NEXT_STATE, state_iri),
+                        (state_iri, S.PREVIOUS_STATE, prev_state_iri)))
             prev_state_iri = state_iri
+    return out

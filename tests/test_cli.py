@@ -163,6 +163,8 @@ def test_pipeline_names_the_unset_flag(capsys, caplog, tmp_path, flags, unset):
     ('{"seeed": 3}', "unknown key(s) seeed"),
     ('{"walk": {"depth": 0}}', "walk: depth must be >= 1"),
     ('{"formats": 3}', "not iterable"),
+    ('{"formats": "nt"}', "formats must be a list, not a string"),
+    ('{"formats": ["nt", "xml"]}', "unknown format(s) 'xml'; choose from nt, ttl"),
     ('["seed"]', "expected a JSON object")])
 def test_bad_pipeline_config_is_exit_1(capsys, caplog, tmp_path, text, message):
     config = tmp_path / "config.json"
@@ -172,6 +174,15 @@ def test_bad_pipeline_config_is_exit_1(capsys, caplog, tmp_path, text, message):
     assert (code, captured.out) == (1, "")
     assert "Traceback" not in captured.err
     assert message in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_pipeline_config_is_exit_1(capsys, caplog, tmp_path):
+    code = main(["pipeline", "--config", str(tmp_path), "-o", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "Traceback" not in captured.err
+    assert "Is a directory" in caplog.text
     assert not (tmp_path / "out").exists()
 
 

@@ -2,11 +2,13 @@ import copy
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vh2kg.errors import (DanglingEdge, DuplicateId, InvalidName,
                           MalformedAffordances, NoAgent, Orphan,
                           ScoreOutOfRange)
-from vh2kg.home import (AffordanceRecord, BoundingBox, afforded_verbs,
+from vh2kg.home import (AffordanceRecord, BoundingBox, EnvironmentGraph,
+                        ObjectNode, RelationEdge, afforded_verbs,
                         dump_environment, filter_affordances,
                         load_environment, read_affordance_csv)
 
@@ -115,11 +117,106 @@ def test_malformed_affordance_row_names_its_line(tmp_path, row, detail):
         read_affordance_csv(path)
 
 
+@pytest.mark.parametrize("center, size", [
+    ((0.0, 1.0), (1.0, 1.0, 1.0)), ((0.0, 1.0, 0.0), (1.0, 1.0, 1.0, 1.0))])
+def test_bbox_needs_three_coordinates(center, size):
+    with pytest.raises(ValueError, match="3 coordinates"):
+        BoundingBox(center, size)
+
+
 def test_bbox_top_and_distance():
     bb = BoundingBox((0.0, 1.0, 0.0), (2.0, 0.5, 2.0))
     assert bb.top == pytest.approx(1.25)
     other = BoundingBox((3.0, 1.0, 4.0), (1.0, 1.0, 1.0))
     assert bb.distance_to(other) == pytest.approx(5.0)
+
+
+def assert_same_graph(derived, nodes, edges):
+    """``derived`` reads like a graph built from scratch on ``nodes``."""
+    fresh = EnvironmentGraph(derived.scene_id, tuple(nodes), tuple(edges))
+    assert derived == fresh  # scene id, nodes and edges
+    for n in fresh.nodes:
+        assert derived.node(n.id) == fresh.node(n.id)
+    assert derived.rooms == fresh.rooms
+    try:
+        agent = fresh.agent
+    except NoAgent:
+        with pytest.raises(NoAgent):
+            derived.agent
+    else:
+        assert derived.agent == agent
+
+
+def replaced(node, change, new_id):
+    """``node`` with one field changed, chosen by ``change``."""
+    if change == "id":
+        return replace(node, id=new_id)
+    if change == "is_room":
+        return replace(node, is_room=not node.is_room)
+    if change == "is_agent":
+        return replace(node, is_agent=not node.is_agent)
+    if change == "bbox":
+        return replace(node, bbox=BoundingBox((float(new_id), 0.0, 0.0), (1.0, 1.0, 1.0)))
+    return replace(node, states=node.states ^ {"OPEN"})
+
+
+node_flags = st.tuples(st.booleans(), st.booleans())
+edit = st.tuples(st.integers(0, 11),  # the id to replace; 10 and 11 start absent
+                 st.sampled_from(["states", "states", "bbox", "id", "is_room",
+                                  "is_agent"]),
+                 st.integers(0, 11))
+
+
+@settings(max_examples=150, deadline=None)
+@given(flags=st.lists(node_flags, min_size=1, max_size=10),
+       steps=st.lists(st.tuples(st.lists(edit, max_size=3), st.booleans()),
+                      max_size=6))
+def test_derived_graphs_match_a_fresh_build(flags, steps):
+    nodes = [ObjectNode(i, "thing", is_room=room, is_agent=agent)
+             for i, (room, agent) in enumerate(flags)]
+    edges = [RelationEdge(0, "ON", n.id) for n in nodes[1:]]
+    graph = EnvironmentGraph("scene1", tuple(nodes), tuple(edges))
+    for edits, drop_edge in steps:
+        replacements = {}
+        for node_id, change, new_id in edits:
+            current = next((n for n in nodes if n.id == node_id), None)
+            replacements[node_id] = (ObjectNode(node_id, "ghost") if current is None
+                                     else replaced(current, change, new_id))
+        graph = graph.with_nodes(replacements)
+        nodes = [replacements.get(n.id, n) for n in nodes]
+        assert_same_graph(graph, nodes, edges)
+        if drop_edge and edges:
+            edges = edges[1:]
+            graph = graph.with_edges(iter(edges))
+            assert_same_graph(graph, nodes, edges)
+
+
+def test_replacement_flipping_room_or_agent_reindexes():
+    env = load_environment(toy_document())
+    kitchen, agent, mug = env.nodes
+
+    as_room = env.with_nodes({3: replace(mug, is_room=True)})
+    assert [r.id for r in as_room.rooms] == [1, 3]
+    no_agent = as_room.with_nodes({2: replace(agent, is_agent=False)})
+    with pytest.raises(NoAgent):
+        no_agent.agent
+    new_agent = no_agent.with_nodes({3: replace(no_agent.node(3), is_agent=True)})
+    assert new_agent.agent == new_agent.node(3) and new_agent.agent.is_room
+    assert [r.id for r in new_agent.rooms] == [1, 3]
+    back = new_agent.with_nodes({3: replace(new_agent.node(3), is_room=False)})
+    assert back.rooms == (kitchen,) and back.agent.id == 3
+
+    # a room edited in place stays a room, with its new value
+    lit = env.with_nodes({1: replace(kitchen, states=frozenset({"ON"}))})
+    assert lit.rooms == (lit.node(1),) and lit.node(1).states == {"ON"}
+    assert env.rooms == (kitchen,)
+
+
+def test_repeated_id_edits_every_copy():
+    kitchen, _, mug = load_environment(toy_document()).nodes
+    twins = EnvironmentGraph("scene1", (mug, kitchen, mug), ())
+    edited = twins.with_nodes({3: replace(mug, states=frozenset({"OPEN"}))})
+    assert [n.states for n in edited.nodes] == [{"OPEN"}, set(), {"OPEN"}]
 
 
 def test_affordance_threshold_filtering():

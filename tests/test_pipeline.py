@@ -25,8 +25,11 @@ FILES = {"scripts_dir": str(fixture_path("scripts")),
 
 
 def small_config(**fields):
-    return PipelineConfig(walk=WalkConfig(**SMALL["walk"]),
-                          skipgram=SkipGramConfig(**SMALL["skipgram"]), **fields)
+    """``SMALL`` applied to the pipeline's defaults, as a config file is."""
+    default = PipelineConfig()
+    return PipelineConfig(walk=replace(default.walk, **SMALL["walk"]),
+                          skipgram=replace(default.skipgram, **SMALL["skipgram"]),
+                          **fields)
 
 
 def outputs(directory):
@@ -88,3 +91,16 @@ def test_stats_counted_once_per_run(tmp_path, monkeypatch):
     stats = json.loads((tmp_path / "stats.json").read_text())
     assert stats == report["stats"] and stats["triples"] > 20000
     assert len(counts) == 1
+
+
+def test_config_section_keeps_the_pipeline_defaults(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"walk": {"depth": 2}, "skipgram": {"epochs": 1}}')
+    cfg = PipelineConfig.from_json(config)
+    default = PipelineConfig()
+    assert cfg.walk == replace(default.walk, depth=2) == WalkConfig(
+        depth=2, walks_per_entity=25, wl_iterations=0)
+    assert cfg.skipgram == replace(default.skipgram, epochs=1)
+    assert (cfg.skipgram.vector_size, cfg.skipgram.window) == (64, 5)
+    # the section's own class default differs, so the value is the pipeline's
+    assert SkipGramConfig().window != cfg.skipgram.window

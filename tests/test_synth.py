@@ -9,7 +9,7 @@ from vh2kg import schema as S
 from vh2kg import synth
 from vh2kg.errors import InvalidName
 from vh2kg.home import afforded_verbs
-from vh2kg.rdf import KgIndex, Literal
+from vh2kg.rdf import KgDocument, KgIndex, Literal, Triple
 from vh2kg.simulate import SimulationState, Trace
 from vh2kg.synth import IriFactory, state_indices
 
@@ -26,6 +26,18 @@ def idx(base_doc):
 def events_in_order(idx, activity):
     evs = idx.objects(activity, S.HAS_EVENT)
     return sorted(evs, key=lambda e: int(idx.object(e, S.EVENT_NUMBER).lexical))
+
+
+def test_documents_hold_only_triples(base_runs, base_doc, affordance_table):
+    trace, meta = base_runs[0]
+    alone = synth.build_activity_kg(trace, meta, affordance_table)
+    into = synth.build_activity_kg(trace, meta, affordance_table,
+                                   doc=KgDocument(triples={("a", "b", "c")}))
+    # perfbench's oracle reads triples by attribute (t.subject)
+    assert {type(t) for t in alone.triples} == {Triple}
+    assert {type(t) for t in base_doc.triples} == {Triple}
+    assert into.triples == alone.triples | {("a", "b", "c")}
+    assert {type(t) for t in into.triples - {("a", "b", "c")}} == {Triple}
 
 
 def test_twenty_activities(idx, base_doc):
