@@ -28,8 +28,9 @@ for script in load_fixture_scripts():
                         description=script.description)
     build_activity_kg(trace, meta, affordances, doc=doc)
 
-findings, augmented = detect_risks(doc)
-print(f"{len(findings)} risk events found:")
+findings, risk_doc = detect_risks(doc)
+print(f"{len(findings)} risk events found "
+      f"({len(risk_doc.triples)} risk triples to add to the graph):")
 for f in findings:
     print(f"  {f.rule_id}  {f.event_iri.rsplit('/', 1)[-1]}")
 

@@ -22,7 +22,8 @@ from .cluster import KMeansConfig, clusters_csv, kmeans
 from .errors import VH2KGError
 from .home import filter_affordances, load_environment_file, read_affordance_csv
 from .pipeline import PipelineConfig, evaluate_findings, run_pipeline
-from .rdf import parse_ntriples, graph_stats, serialize_ntriples, serialize_turtle
+from .rdf import (KgDocument, graph_stats, parse_ntriples, serialize_ntriples,
+                  serialize_turtle)
 from .scripts import parse_script, serialize_script, validate_vocabulary
 from .simulate import DurationModel, check_executable, run_script, trace_to_json
 from .skipgram import (_TSV_ESCAPE, SkipGramConfig, cosine_neighbors,
@@ -123,8 +124,9 @@ def cmd_stats(args):
 
 def cmd_detect_risk(args):
     doc = _read_graph(args.graph)
-    findings, augmented = risk.detect_risks(doc, tuple(args.rules))
+    findings, risk_doc = risk.detect_risks(doc, tuple(args.rules))
     if args.augmented:
+        augmented = KgDocument(doc.prefixes, doc.triples | risk_doc.triples)
         Path(args.augmented).write_text(serialize_ntriples(augmented),
                                         encoding="utf-8")
     sys.stdout.write(risk.findings_to_json(findings))

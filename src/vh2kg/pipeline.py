@@ -180,8 +180,9 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
         json.dumps(graph_stats(doc), indent=2, sort_keys=True) + "\n")
 
     log("detecting risks")
-    findings, augmented = risk.detect_risks(doc)
+    findings, risk_doc = risk.detect_risks(doc)
     (out / "findings.json").write_text(risk.findings_to_json(findings))
+    augmented = KgDocument(doc.prefixes, doc.triples | risk_doc.triples)
     (out / "corpus_with_risks.nt").write_text(serialize_ntriples(augmented),
                                               encoding="utf-8")
 

@@ -1,9 +1,10 @@
 """Minimal RDF model with deterministic N-Triples / Turtle serialization.
 
-Documents are plain triple sets plus a prefix table.  Serialization sorts
-triples lexicographically by subject, predicate, object so identical
-documents always produce byte-identical output.  The sort and the writers
-do their Python-level work per subject, not per triple.
+Documents are insertion-ordered triple sets plus a prefix table, so every
+whole-graph pass visits triples in the order they were made, whatever the
+hash seed.  Serialization sorts triples by subject, predicate, object so
+identical documents always produce byte-identical output; the sort and the
+writers do their Python-level work per subject, not per triple.
 """
 
 from __future__ import annotations
@@ -120,26 +121,33 @@ def string(value: str) -> Literal:
 
 @dataclass
 class KgDocument:
-    """A triple set plus a prefix table.
+    """An insertion-ordered triple set plus a prefix table.
+
+    ``triples`` maps each ``Triple`` to ``None``, in the order added; the
+    constructor also takes any iterable of triples.
 
     ``index()``, ``sorted_triples()`` and ``graph_stats(doc)`` are views
     cached on the document.  ``add``, ``add_all`` and ``update`` drop them;
-    a direct edit of ``triples`` is seen only when it replaces the set or
+    a direct edit of ``triples`` is seen only when it replaces the dict or
     changes its size, so mutate through those three.
     """
     prefixes: dict = field(default_factory=lambda: dict(PREFIXES))
-    triples: set = field(default_factory=set)
+    triples: dict = field(default_factory=dict)
     _views: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
+    def __post_init__(self):
+        if not isinstance(self.triples, dict):
+            self.triples = dict.fromkeys(self.triples)
+
     def add(self, s: str, p: str, o) -> None:
-        self.triples.add(Triple(s, p, o))
+        self.triples[Triple(s, p, o)] = None
         if self._views:
             self._views.clear()
 
     def add_all(self, triples) -> None:
-        """Add many ``Triple``s with one set update."""
-        self.triples.update(triples)
+        """Add many ``Triple``s, in order, with one dict merge."""
+        self.triples |= dict.fromkeys(triples)
         self._views.clear()
 
     def update(self, other: "KgDocument") -> None:
@@ -147,8 +155,8 @@ class KgDocument:
         self._views.clear()
 
     def _view(self, name: str, build):
-        # The entry keeps the set it was built from, so its identity cannot
-        # be reused by another set while the entry lives.
+        # The entry keeps the dict it was built from, so its identity cannot
+        # be reused by another dict while the entry lives.
         triples = self.triples
         entry = self._views.get(name)
         if entry is None or entry[0] is not triples or entry[1] != len(triples):
@@ -298,6 +306,7 @@ def serialize_turtle(doc: KgDocument) -> str:
     return "\n".join(out)
 
 
+_LINES = re.compile(r".*\n?")  # a line and its break; the last match is empty
 _NT_LINE = re.compile(
     r'^<([^>]*)>\s+<([^>]*)>\s+'
     r'(?:<([^>]*)>|"((?:[^"\\]|\\.)*)"(?:\^\^<([^>]*)>)?)\s*\.\s*$')
@@ -316,8 +325,8 @@ def parse_ntriples(text: str) -> KgDocument:
     literals: dict[tuple, Literal] = {}
     triples = []
     with _paused_gc():
-        for line_no, line in enumerate(text.split("\n"), start=1):
-            line = line.strip()
+        for line_no, line in enumerate(_LINES.finditer(text), start=1):
+            line = line[0].strip()
             if not line or line.startswith("#"):
                 continue
             m = _NT_LINE.match(line)
@@ -334,7 +343,7 @@ def parse_ntriples(text: str) -> KgDocument:
                     o = literals[key] = Literal(*key)
             triples.append(_as_triple(
                 (iris.setdefault(s, s), iris.setdefault(p, p), o)))
-        return KgDocument(triples=set(triples))
+        return KgDocument(triples=dict.fromkeys(triples))
 
 
 def graph_stats(doc: KgDocument) -> dict:
@@ -361,14 +370,14 @@ class KgIndex:
     """Lookup structures over a document for pattern evaluation.
 
     Triples are listed per subject and per predicate, as cheap to build as
-    one pass over the set.  ``subjects(p, o)`` hashes object -> subjects for
-    predicate ``p`` the first time ``p`` is queried with an object; every
-    lookup returns its items in the order of that one pass.  Get the
-    document's shared instance from ``KgDocument.index()``.
+    one pass over the document.  ``subjects(p, o)`` hashes object ->
+    subjects for predicate ``p`` the first time ``p`` is queried with an
+    object; every lookup returns its items in the document's insertion
+    order.  Get the document's shared instance from ``KgDocument.index()``.
     """
 
     def __init__(self, doc: KgDocument):
-        # The triple set, not the document: a document caches its index,
+        # The triples, not the document: a document caches its index,
         # and a reference back would make every indexed document a cycle.
         self.triples = doc.triples
         by_subject: dict[str, list[Triple]] = {}

@@ -244,14 +244,17 @@ def _dedupe(findings: list[RiskFinding]) -> list[RiskFinding]:
 
 
 def detect_risks(doc: KgDocument, rules=("R1", "R2")):
-    """Evaluate rules over a KG and materialize riskFactor triples."""
+    """Evaluate rules over a KG; return ``(findings, risk_doc)``, where
+    ``risk_doc`` has ``doc``'s prefixes and only the findings' riskFactor and
+    rdf:type triples.  ``doc`` is left as it is; the augmented graph is
+    ``doc.triples | risk_doc.triples``."""
     findings = eval_rules_kg(doc, rules)
-    augmented = KgDocument(dict(doc.prefixes), set(doc.triples))
+    risk_doc = KgDocument(dict(doc.prefixes))
     for finding in findings:
-        augmented.add(finding.activity_iri, S.RISK_FACTOR, finding.event_iri)
-        augmented.add(finding.event_iri, S.RDF_TYPE, RULES[finding.rule_id].risk_class)
-        augmented.add(finding.event_iri, S.RDF_TYPE, S.RISK_EVENT)
-    return findings, augmented
+        risk_doc.add(finding.activity_iri, S.RISK_FACTOR, finding.event_iri)
+        risk_doc.add(finding.event_iri, S.RDF_TYPE, RULES[finding.rule_id].risk_class)
+        risk_doc.add(finding.event_iri, S.RDF_TYPE, S.RISK_EVENT)
+    return findings, risk_doc
 
 
 # --- explanation export ---

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vh2kg import rdf
+from vh2kg import schema as S
 from vh2kg.errors import NTriplesSyntaxError
 from vh2kg.pipeline import analysis_report, evaluate_findings
 from vh2kg.rdf import (EX, PREFIXES, RDF, VH2KG, XSD_DECIMAL, XSD_INT,
@@ -14,7 +15,7 @@ from vh2kg.rdf import (EX, PREFIXES, RDF, VH2KG, XSD_DECIMAL, XSD_INT,
                        _escape, _qnamer, decimal, graph_stats, integer,
                        parse_ntriples, serialize_ntriples, serialize_turtle,
                        string)
-from vh2kg.risk import detect_risks, explain
+from vh2kg.risk import RULES, detect_risks, explain
 from vh2kg.walks import WalkConfig, activity_roots, wl_relabel
 
 _ORACLE_RE = re.compile(
@@ -186,6 +187,24 @@ def test_turtle_matches_per_term_qnames(base_doc):
     assert serialize_turtle(base_doc) == reference_turtle(base_doc)
 
 
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("final", [True, False])
+def test_parse_error_line_numbers(eol, final):
+    """A bad line is numbered as ``text.split("\\n")`` numbers it, blank
+    and comment lines included, with or without a final line break; a form
+    feed, which ``splitlines`` would count, is not a line break."""
+    good = "<http://x/a> <http://x/p> <http://x/b> ."
+    for lines, bad, message in (
+            (["", " \f ", good, "# note", "", "<a> <b> ."], 5, "cannot parse"),
+            (["", good, "", '<a> <b> "\\q" .', good], 3, "bad escape")):
+        text = eol.join(lines) + (eol if final else "")
+        number = 1 + next(n for n, line in enumerate(text.split("\n"))
+                          if line.strip() == lines[bad])
+        assert number == bad + 1
+        with pytest.raises(NTriplesSyntaxError, match=f"^line {number}: {message}"):
+            parse_ntriples(text)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(NTriplesSyntaxError):
         parse_ntriples("<a> <b> .\n")
@@ -290,17 +309,20 @@ def test_cached_views_see_every_edit():
     assert doc.index() is idx and doc.sorted_triples() is doc.sorted_triples()
     other = KgDocument()
     other.add(a, p, "http://x/3")
-    edits = [lambda: doc.add(a, p, "http://x/2"),
-             lambda: doc.update(other),
-             lambda: doc.triples.add(Triple(a, p, "http://x/4"))]  # bypass
+
+    def bypass():
+        doc.triples[Triple(a, p, "http://x/4")] = None
+
+    edits = [lambda: doc.add(a, p, "http://x/2"), lambda: doc.update(other),
+             bypass]
     for n, edit in enumerate(edits, start=2):
         edit()
         assert len(doc.index().objects(a, p)) == n
         assert len(doc.sorted_triples()) == n
     expected = [f"http://x/{i}" for i in range(1, 5)]
-    assert sorted(doc.index().objects(a, p)) == expected
+    assert doc.index().objects(a, p) == expected  # in insertion order
     assert [t.object for t in doc.sorted_triples()] == expected
-    doc.triples = {Triple(a, p, "http://x/5")}
+    doc.triples = {Triple(a, p, "http://x/5"): None}
     assert doc.index().subjects(p, "http://x/5") == [a]
     assert doc.sorted_triples() == (Triple(a, p, "http://x/5"),)
 
@@ -436,12 +458,14 @@ def test_writers_match_per_triple_oracles(rows):
     nt, ttl = serialize_ntriples(doc), serialize_turtle(doc)
     assert nt == oracle_ntriples(doc)
     assert ttl == reference_turtle(doc)
-    assert read_turtle(ttl) == doc.triples
-    assert parse_ntriples(nt).triples == doc.triples
+    assert read_turtle(ttl) == doc.triples.keys()
+    parsed = parse_ntriples(nt)
+    assert parsed.triples == doc.triples
+    assert list(parsed.triples) == list(doc.sorted_triples())
 
 
 def test_turtle_reads_back(base_doc):
-    assert read_turtle(serialize_turtle(base_doc)) == base_doc.triples
+    assert read_turtle(serialize_turtle(base_doc)) == base_doc.triples.keys()
 
 
 _NAMESPACES = ["", "http://x/", "http://x/a", "http://x/a/", "http://x/a.",
@@ -467,3 +491,54 @@ def test_qname_never_ends_in_a_line_break():
     assert _qname(EX + "a\n", PREFIXES) == "ex:a\n"
     assert _qnamer(PREFIXES)(EX + "a\n") == f"<{EX}a\n>"
     assert _qnamer(PREFIXES)(EX + "a") == "ex:a"
+
+
+# -- the order contract: documents keep triples in insertion order ---------
+
+
+def test_order_contract_triples_and_lookups_follow_insertion():
+    p, q = "http://x/p", "http://x/q"
+    added = [Triple(f"http://x/{s}", pred, f"http://x/{o}")
+             for s, pred, o in (("c", p, "z"), ("a", q, "y"), ("c", p, "x"),
+                                ("b", p, "z"), ("a", p, "y"), ("c", q, "w"))]
+    doc = KgDocument()
+    doc.add(*added[0])
+    doc.add_all(added[1:3])
+    other = KgDocument(triples=added[3:])
+    doc.update(other)
+    doc.add(*added[0])  # a triple added again keeps its place
+    assert list(doc.triples) == added
+    idx = doc.index()
+    assert idx.objects("http://x/c", p) == ["http://x/z", "http://x/x"]
+    assert idx.subjects(p) == ["http://x/c", "http://x/c", "http://x/b", "http://x/a"]
+    assert idx.subjects(p, "http://x/z") == ["http://x/c", "http://x/b"]
+    assert list(idx.by_subject) == ["http://x/c", "http://x/a", "http://x/b"]
+
+
+def test_order_contract_parse_follows_canonical_order(base_doc):
+    for doc in (sample_doc(), base_doc):
+        parsed = parse_ntriples(serialize_ntriples(doc))
+        assert list(parsed.triples) == list(doc.sorted_triples())
+
+
+def test_order_contract_detect_risks_leaves_its_input_alone(base_doc):
+    doc = KgDocument(dict(base_doc.prefixes), base_doc.triples.copy())
+    size, idx, order = len(doc.triples), doc.index(), doc.sorted_triples()
+    stats = graph_stats(doc)
+    detect_risks(doc)
+    assert len(doc.triples) == size and list(doc.triples) == list(base_doc.triples)
+    assert doc.index() is idx and doc.sorted_triples() is order
+    assert graph_stats(doc) == stats
+
+
+def test_order_contract_risk_doc_holds_the_finding_triples(base_doc):
+    findings, risk_doc = detect_risks(base_doc)
+    assert findings
+    expected = []
+    for f in findings:
+        expected += [(f.activity_iri, S.RISK_FACTOR, f.event_iri),
+                     (f.event_iri, RDF + "type", RULES[f.rule_id].risk_class),
+                     (f.event_iri, RDF + "type", S.RISK_EVENT)]
+    assert list(risk_doc.triples) == list(dict.fromkeys(expected))
+    assert risk_doc.prefixes == base_doc.prefixes
+    assert risk_doc.prefixes is not base_doc.prefixes

@@ -69,8 +69,12 @@ def test_dual_evaluation_fp(fp_runs, fp_doc, affordance_table):
 
 
 def test_detect_risks_augments_graph(base_doc):
-    findings, augmented = detect_risks(base_doc)
-    assert len(augmented.triples) > len(base_doc.triples)
+    size = len(base_doc.triples)
+    findings, risk_doc = detect_risks(base_doc)
+    assert findings and risk_doc.prefixes == base_doc.prefixes
+    assert {t.predicate for t in risk_doc.triples} == {S.RISK_FACTOR, S.RDF_TYPE}
+    augmented = KgDocument(triples=base_doc.triples | risk_doc.triples)
+    assert len(augmented.triples) == size + len(risk_doc.triples)  # all new
     idx = KgIndex(augmented)
     for f in findings:
         rule = {"R1": R1, "R2": R2}[f.rule_id]
@@ -78,6 +82,7 @@ def test_detect_risks_augments_graph(base_doc):
         assert rule.risk_class in idx.objects(f.event_iri, S.RDF_TYPE)
         assert S.RISK_EVENT in idx.objects(f.event_iri, S.RDF_TYPE)
     # the input document is untouched
+    assert len(base_doc.triples) == size
     assert not any(t.predicate == S.RISK_FACTOR for t in base_doc.triples)
 
 

@@ -38,8 +38,8 @@ def _rule_predicates(rule_id):
 
 def test_schema_and_rule_queries_match_the_graph(base_doc):
     declared = _schema_declared()
-    _, augmented = detect_risks(base_doc)
-    emitted = {t.predicate for t in augmented.triples
+    _, risk_doc = detect_risks(base_doc)
+    emitted = {t.predicate for t in base_doc.triples | risk_doc.triples
                if not t.predicate.startswith((RDF, RDFS))}
     assert {S.RISK_FACTOR, S.BBOX_CENTER, S.AFFORDS} <= emitted
     assert emitted - declared == set()

@@ -36,8 +36,9 @@ def test_documents_hold_only_triples(base_runs, base_doc, affordance_table):
     # perfbench's oracle reads triples by attribute (t.subject)
     assert {type(t) for t in alone.triples} == {Triple}
     assert {type(t) for t in base_doc.triples} == {Triple}
-    assert into.triples == alone.triples | {("a", "b", "c")}
-    assert {type(t) for t in into.triples - {("a", "b", "c")}} == {Triple}
+    # the earlier triple first, then the activity's in the order they were made
+    assert list(into.triples) == [("a", "b", "c"), *alone.triples]
+    assert {type(t) for t in list(into.triples)[1:]} == {Triple}
 
 
 def test_twenty_activities(idx, base_doc):

@@ -2,7 +2,7 @@
 GC paused, one object per repeated term, and the memoized ``decimal``.
 
 The slotted frozen dataclasses that the NamedTuples replaced are kept here
-as the oracle: hashes, set iteration order and serialized bytes must match.
+as the oracle: hashes, iteration order and serialized bytes must match.
 """
 
 import gc
@@ -64,7 +64,7 @@ def test_namedtuples_match_dataclass_oracle(rows):
         assert hash(t) == hash(ot)
         assert t == (s, p, t.object) and hash(t) == hash((s, p, t.object))
         new.add(s, p, t.object)
-        old.triples.add(ot)
+        old.triples[ot] = None
     assert [plain(t) for t in new.triples] == [plain(t) for t in old.triples]
     assert serialize_ntriples(new) == serialize_ntriples(old)
     assert serialize_turtle(new) == serialize_turtle(old)
