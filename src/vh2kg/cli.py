@@ -22,7 +22,7 @@ from .cluster import KMeansConfig, clusters_csv, kmeans
 from .errors import VH2KGError
 from .home import filter_affordances, load_environment_file, read_affordance_csv
 from .pipeline import PipelineConfig, evaluate_findings, run_pipeline
-from .rdf import (KgDocument, graph_stats, parse_ntriples, serialize_ntriples,
+from .rdf import (augmented, graph_stats, parse_ntriples, serialize_ntriples,
                   serialize_turtle)
 from .scripts import parse_script, serialize_script, validate_vocabulary
 from .simulate import DurationModel, check_executable, run_script, trace_to_json
@@ -126,9 +126,8 @@ def cmd_detect_risk(args):
     doc = _read_graph(args.graph)
     findings, risk_doc = risk.detect_risks(doc, tuple(args.rules))
     if args.augmented:
-        augmented = KgDocument(doc.prefixes, doc.triples | risk_doc.triples)
-        Path(args.augmented).write_text(serialize_ntriples(augmented),
-                                        encoding="utf-8")
+        Path(args.augmented).write_text(
+            serialize_ntriples(augmented(doc, risk_doc)), encoding="utf-8")
     sys.stdout.write(risk.findings_to_json(findings))
     log.info("%d risk findings", len(findings))
     return 0

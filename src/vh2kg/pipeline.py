@@ -16,7 +16,8 @@ from . import analytics, risk
 from .cluster import KMeansConfig, clusters_csv, kmeans
 from .errors import BadConfig, MissingSetting
 from .home import EnvironmentGraph
-from .rdf import KgDocument, graph_stats, serialize_ntriples, serialize_turtle
+from .rdf import (KgDocument, augmented, graph_stats, serialize_ntriples,
+                  serialize_turtle)
 from .scripts import ActivityScript
 from .simulate import DurationModel, SimConfig, Trace, run_script
 from .skipgram import SkipGramConfig, export_vectors, train_skipgram
@@ -182,9 +183,8 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
     log("detecting risks")
     findings, risk_doc = risk.detect_risks(doc)
     (out / "findings.json").write_text(risk.findings_to_json(findings))
-    augmented = KgDocument(doc.prefixes, doc.triples | risk_doc.triples)
-    (out / "corpus_with_risks.nt").write_text(serialize_ntriples(augmented),
-                                              encoding="utf-8")
+    (out / "corpus_with_risks.nt").write_text(
+        serialize_ntriples(augmented(doc, risk_doc)), encoding="utf-8")
 
     report = analysis_report(doc)
     if ground_truth is None and cfg.ground_truth_file:

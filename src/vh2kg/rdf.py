@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import re
+from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -172,6 +173,22 @@ class KgDocument:
         """Triples in ``Triple.sort_key`` order, sorted once per version and
         shared by the serializers."""
         return self._view("sorted", lambda: _canonical_order(self.triples))
+
+
+def augmented(doc: KgDocument, extra: KgDocument) -> KgDocument:
+    """``doc`` plus the triples of ``extra``, under ``doc``'s prefixes.
+
+    The result's sorted view is ``doc``'s cached one with the new triples
+    inserted in ``Triple.sort_key`` order, so adding a few triples to a big
+    sorted graph does not sort it again.
+    """
+    union = KgDocument(doc.prefixes, doc.triples | extra.triples)
+    order = list(doc.sorted_triples())
+    for t in extra.triples:
+        if t not in doc.triples:
+            insort(order, t, key=Triple.sort_key)
+    union._view("sorted", lambda: tuple(order))
+    return union
 
 
 def _canonical_order(triples) -> tuple:

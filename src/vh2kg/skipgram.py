@@ -3,8 +3,9 @@
 Two routes: exact softmax (the verification oracle, tractable for small
 vocabularies, updated pair by pair) and negative sampling with a
 unigram^0.75 noise distribution (the large-vocabulary path, updated in
-minibatches of consecutive pairs).  Training is single-threaded and
-deterministic under a seed.
+minibatches of consecutive pairs).  A minibatch updates each matrix with
+one small matrix product over the batch's distinct rows, so training calls
+BLAS; it is deterministic under a seed, whatever BLAS's thread count.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ def sg_loss_and_grad(model: EmbeddingModel, center_idx: int, context_idx: int):
 #: Pairs per negative-sampling minibatch.  Consecutive pairs share centers
 #: and contexts, so a batch much larger than this sums many stale gradients
 #: into the same rows and diverges; a batch of one is plain per-pair SGD.
+#: A batch touches at most 128 * (k + 1) output rows and 128 input rows,
+#: and each update is a GEMM over those rows, whatever the vocabulary's size.
 _BATCH = 128
 
 
@@ -116,12 +119,19 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _scatter_add(matrix, rows, values):
-    """matrix[rows] += values, summing the values of repeated rows."""
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    matrix[rows[starts]] += np.add.reduceat(values[order], starts, axis=0)
+def _update_rows(matrix, compacted, cols, vectors, lr, weights=None):
+    """``matrix[rows[i]] -= lr * weights[i] * vectors[cols[i]]`` for every i,
+    summing the terms of repeated rows; ``compacted`` is
+    ``np.unique(rows, return_inverse=True)`` and weights default to 1.
+
+    One bincount lays the weights out as a (distinct rows x len(vectors))
+    matrix, and one GEMM with ``vectors`` gives each distinct row its summed
+    update.
+    """
+    uniq, inverse = compacted
+    n = len(vectors)
+    spread = np.bincount(inverse * n + cols, weights, minlength=len(uniq) * n)
+    matrix[uniq] -= lr * (spread.reshape(len(uniq), n) @ vectors)
 
 
 def _softmax_epoch(model, centers, contexts, lr):
@@ -137,7 +147,10 @@ def _softmax_epoch(model, centers, contexts, lr):
 def _negative_sampling_epoch(model, centers, contexts, lr, rng, cdf, k):
     """One pass of minibatched SGD; each row of a batch scores its context
     (label 1) and k negatives drawn from the noise CDF (label 0), and all
-    gradients of a batch are taken at the weights before its update."""
+    gradients of a batch are taken at the weights before its update.
+    The batch's distinct centers are found once: the output-matrix update
+    multiplies by their vectors, and the input-matrix update writes their
+    rows."""
     signs = np.r_[1.0, -np.ones(k)]
     w_in, w_out = model.input_vectors, model.output_vectors
     total = 0.0
@@ -145,15 +158,17 @@ def _negative_sampling_epoch(model, centers, contexts, lr, rng, cdf, k):
         c = centers[lo:lo + _BATCH]
         negatives = np.searchsorted(cdf, rng.random((len(c), k)), side="right")
         rows = np.concatenate((contexts[lo:lo + _BATCH, None], negatives), axis=1)
-        v = w_in[c]                                  # B x D
+        c_uniq, c_col = compacted_c = np.unique(c, return_inverse=True)
+        v_uniq = w_in[c_uniq]                        # distinct centers x D
+        v = v_uniq[c_col]                            # B x D
         u = w_out[rows]                              # B x (k+1) x D
         scores = _sigmoid(signs * np.einsum("bkd,bd->bk", u, v))
         total += -float(np.sum(np.log(np.clip(scores, 1e-12, None))))
         coeff = signs * (scores - 1.0)               # d(loss)/d(u_row . v)
         grad_center = np.einsum("bk,bkd->bd", coeff, u)
-        grad_out = coeff[:, :, None] * v[:, None, :]
-        _scatter_add(w_out, rows.ravel(), -lr * grad_out.reshape(-1, v.shape[1]))
-        _scatter_add(w_in, c, -lr * grad_center)
+        _update_rows(w_out, np.unique(rows.ravel(), return_inverse=True),
+                     np.repeat(c_col, k + 1), v_uniq, lr, coeff.ravel())
+        _update_rows(w_in, compacted_c, np.arange(len(c)), grad_center, lr)
     return total
 
 

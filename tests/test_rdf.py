@@ -451,6 +451,34 @@ def test_canonical_order_sorts_mixed_objects_by_key():
 
 
 @settings(max_examples=300, deadline=None)
+@given(_TERM_ROWS, _TERM_ROWS)
+def test_augmented_inserts_into_the_cached_order(rows, extra_rows):
+    # extra_rows overlap rows often, so some "new" triples are already in doc
+    doc, extra = term_doc(rows), term_doc(extra_rows)
+    union = rdf.augmented(doc, extra)
+    assert union.triples == doc.triples | extra.triples
+    assert list(union.triples) == list(doc.triples | extra.triples)
+    assert union.prefixes == doc.prefixes
+    assert list(union.sorted_triples()) == oracle_sorted(union)
+    assert serialize_ntriples(union) == oracle_ntriples(union)
+    assert len(doc.triples) == len(term_doc(rows).triples)  # doc left alone
+
+
+def test_augmented_corpus_sorts_once(base_doc, monkeypatch):
+    doc = KgDocument(dict(base_doc.prefixes), base_doc.triples.copy())
+    _, risk_doc = detect_risks(doc)
+    expected = serialize_ntriples(KgDocument(doc.prefixes,
+                                             doc.triples | risk_doc.triples))
+    doc.sorted_triples()
+    sorts = []
+    real = rdf._canonical_order
+    monkeypatch.setattr(rdf, "_canonical_order",
+                        lambda triples: sorts.append(1) or real(triples))
+    assert serialize_ntriples(rdf.augmented(doc, risk_doc)) == expected
+    assert sorts == []
+
+
+@settings(max_examples=300, deadline=None)
 @given(_TERM_ROWS)
 def test_writers_match_per_triple_oracles(rows):
     doc = term_doc(rows)

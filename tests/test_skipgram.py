@@ -247,13 +247,93 @@ def test_minibatches_stay_stable_on_planted_corpus(planted):
     assert np.isfinite(model.input_vectors).all()
 
 
+def minibatch_reference_epoch(model, centers, contexts, lr, rng, cdf, k):
+    """The minibatch epoch before the compacted update: every gradient of a
+    batch is materialised and summed per row with a stable argsort and
+    ``np.add.reduceat``.  Kept as the oracle for the GEMM update."""
+    def scatter_add(matrix, rows, values):
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        matrix[rows[starts]] += np.add.reduceat(values[order], starts, axis=0)
+
+    signs = np.r_[1.0, -np.ones(k)]
+    w_in, w_out = model.input_vectors, model.output_vectors
+    total = 0.0
+    for lo in range(0, len(centers), skipgram._BATCH):
+        c = centers[lo:lo + skipgram._BATCH]
+        negatives = np.searchsorted(cdf, rng.random((len(c), k)), side="right")
+        rows = np.concatenate((contexts[lo:lo + skipgram._BATCH, None], negatives),
+                              axis=1)
+        v = w_in[c]
+        u = w_out[rows]
+        scores = 1.0 / (1.0 + np.exp(-(signs * np.einsum("bkd,bd->bk", u, v))))
+        total += -float(np.sum(np.log(np.clip(scores, 1e-12, None))))
+        coeff = signs * (scores - 1.0)
+        grad_center = np.einsum("bk,bkd->bd", coeff, u)
+        grad_out = coeff[:, :, None] * v[:, None, :]
+        scatter_add(w_out, rows.ravel(), -lr * grad_out.reshape(-1, v.shape[1]))
+        scatter_add(w_in, c, -lr * grad_center)
+    return total
+
+
+def random_corpus(rng, vocab_size, sequences, length):
+    """Random walks over ``vocab_size`` tokens, every token used at least
+    once, in sequences of ``length``."""
+    extra = rng.integers(vocab_size, size=sequences * length - vocab_size)
+    ids = rng.permutation(np.r_[np.arange(vocab_size), extra])
+    return WalkCorpus([[f"w{i}" for i in ids[lo:lo + length]]
+                       for lo in range(0, len(ids), length)])
+
+
+@pytest.mark.parametrize("vocab_size", [25, 1000])
+def test_minibatches_match_the_scatter_add_epoch(monkeypatch, vocab_size):
+    # 1000 tokens is more than the 128 * 6 rows a batch can touch, so each
+    # update compacts a strict subset of the vocabulary.
+    corpus = random_corpus(np.random.default_rng(vocab_size), vocab_size,
+                           sequences=60, length=30)
+    cfg = SkipGramConfig(vector_size=16, window=3, epochs=3,
+                         negative_samples=5, seed=11)
+    assert skipgram._BATCH == 128
+    model, losses = train_skipgram(corpus, cfg)
+    assert len(model.vocab) == vocab_size
+    monkeypatch.setattr(skipgram, "_negative_sampling_epoch",
+                        minibatch_reference_epoch)
+    expected, expected_losses = train_skipgram(corpus, cfg)
+    assert np.allclose(model.input_vectors, expected.input_vectors,
+                       rtol=1e-9, atol=0)
+    assert np.allclose(model.output_vectors, expected.output_vectors,
+                       rtol=1e-9, atol=0)
+    assert np.allclose(losses, expected_losses, rtol=1e-9, atol=0)
+
+
 def test_scatter_add_sums_repeated_rows():
+    """``_update_rows`` against ``np.add.at``: repeated rows sum, and rows
+    outside the batch stay bit-equal."""
     rng = np.random.default_rng(8)
-    matrix = rng.standard_normal((6, 3))
-    rows = np.array([4, 1, 4, 0, 4, 1, 5])
-    values = rng.standard_normal((len(rows), 3))
-    expected = matrix.copy()
-    np.add.at(expected, rows, values)
-    skipgram._scatter_add(matrix, rows, values)
-    assert np.allclose(matrix, expected, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(matrix[[2, 3]], expected[[2, 3]])
+    lr = 0.025
+    cases = [
+        # a few repeated rows, one vector per row
+        (np.array([4, 1, 4, 0, 4, 1, 5]), np.arange(7), 7),
+        # a negative equal to its own context: rows[b, 0] == rows[b, j]
+        (np.array([[3, 3, 1], [0, 5, 0], [4, 4, 4]]).ravel(),
+         np.repeat(np.arange(3), 3), 3),
+        # one row 60 times among a few others, over few distinct vectors
+        (rng.permutation(np.r_[np.full(60, 2), [0, 5, 1, 5]]),
+         rng.integers(4, size=64), 4),
+    ]
+    for rows, cols, n in cases:
+        matrix = rng.standard_normal((7, 3))
+        vectors = rng.standard_normal((n, 3))
+        weights = rng.standard_normal(len(rows))
+        for w in (weights, None):
+            expected = matrix.copy()
+            terms = vectors[cols] * (1.0 if w is None else w[:, None])
+            np.add.at(expected, rows, -lr * terms)
+            updated = matrix.copy()
+            skipgram._update_rows(updated, np.unique(rows, return_inverse=True),
+                                  cols, vectors, lr, w)
+            assert np.allclose(updated, expected, rtol=1e-12, atol=1e-12)
+            untouched = np.setdiff1d(np.arange(7), rows)
+            assert len(untouched)
+            assert np.array_equal(updated[untouched], expected[untouched])
