@@ -25,6 +25,6 @@ from .skipgram import (EmbeddingModel, SkipGramConfig, cosine_neighbors,
                        predict_probability, train_skipgram)
 from .synth import ActivityMeta, build_activity_kg
 from .walks import (WalkConfig, WalkCorpus, activity_roots, extract_walks,
-                    wl_labelings, wl_relabel)
+                    parse_walks, wl_labelings, wl_relabel)
 
 __version__ = "0.1.0"

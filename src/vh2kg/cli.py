@@ -26,10 +26,10 @@ from .rdf import (augmented, graph_stats, parse_ntriples, serialize_ntriples,
                   serialize_turtle)
 from .scripts import parse_script, serialize_script, validate_vocabulary
 from .simulate import DurationModel, check_executable, run_script, trace_to_json
-from .skipgram import (_TSV_ESCAPE, SkipGramConfig, cosine_neighbors,
-                       export_vectors, parse_vectors, train_skipgram)
+from .skipgram import (SkipGramConfig, cosine_neighbors, export_vectors,
+                       parse_vectors, train_skipgram)
 from .synth import ActivityMeta, build_activity_kg
-from .walks import WalkConfig, activity_roots, wl_relabel
+from .walks import WalkConfig, _escape_token, activity_roots, wl_relabel
 
 log = logging.getLogger("vh2kg")
 
@@ -181,7 +181,7 @@ def cmd_neighbors(args):
     from .skipgram import EmbeddingModel
     model = EmbeddingModel(list(tokens), matrix, np.zeros_like(matrix))
     for token, score in cosine_neighbors(model, args.token, args.n):
-        sys.stdout.write(f"{score:.6f}\t{token.translate(_TSV_ESCAPE)}\n")
+        sys.stdout.write(f"{score:.6f}\t{_escape_token(token)}\n")
     return 0
 
 

@@ -120,6 +120,10 @@ class MalformedVectors(VH2KGError):
     pass
 
 
+class MalformedWalks(VH2KGError):
+    """A walks.txt token with an unknown escape."""
+
+
 # --- analytics ---
 
 class MissingDurations(VH2KGError):

@@ -2,21 +2,22 @@
 
 Two routes: exact softmax (the verification oracle, tractable for small
 vocabularies, updated pair by pair) and negative sampling with a
-unigram^0.75 noise distribution (the large-vocabulary path, updated in
-minibatches of consecutive pairs).  A minibatch updates each matrix with
-one small matrix product over the batch's distinct rows, so training calls
-BLAS; it is deterministic under a seed, whatever BLAS's thread count.
+unigram^0.75 noise distribution (the large-vocabulary path).  Negative
+sampling trains per center occurrence: an occurrence draws k negatives,
+all of its contexts share them, and a minibatch holds whole consecutive
+occurrences.  A minibatch updates each matrix with one small matrix product
+over the batch's distinct rows, so training calls BLAS; it is deterministic
+under a seed, whatever BLAS's thread count.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyCorpus, IndexOutOfRange, MalformedVectors, UnknownToken
-from .walks import WalkCorpus
+from .walks import WalkCorpus, _escape_token, _unescape_token
 
 
 @dataclass(frozen=True)
@@ -93,17 +94,20 @@ def sg_loss_and_grad(model: EmbeddingModel, center_idx: int, context_idx: int):
     return loss, grad_in, grad_out
 
 
-#: Pairs per negative-sampling minibatch.  Consecutive pairs share centers
-#: and contexts, so a batch much larger than this sums many stale gradients
-#: into the same rows and diverges; a batch of one is plain per-pair SGD.
-#: A batch touches at most 128 * (k + 1) output rows and 128 input rows,
-#: and each update is a GEMM over those rows, whatever the vocabulary's size.
-_BATCH = 128
+#: Center occurrences per negative-sampling minibatch.  On the fixture walks
+#: an occurrence has about 4.3 contexts, so a batch is about 220 pairs.
+#: Consecutive occurrences share centers and contexts, and every gradient of
+#: a batch is taken at the weights before its update, so a much larger batch
+#: sums many stale gradients into the same rows: at 156 the planted pairs
+#: grow less similar, and at 208 training diverges.  A batch of one
+#: occurrence with one context is plain per-pair SGD.
+_OCCURRENCES = 52
 
 
-def _pair_arrays(sequences, index, window):
-    """Every (center, context) pair as two index arrays, in corpus order:
-    sequence by sequence, center by center, context positions ascending."""
+def _occurrences(sequences, index, window):
+    """Every center occurrence that has a context, in corpus order: its
+    token id, and its context ids at offsets -window..-1, 1..window, with
+    -1 for an offset outside its sequence."""
     ids = np.array([index[t] for seq in sequences for t in seq], dtype=np.intp)
     lengths = np.array([len(seq) for seq in sequences], dtype=np.intp)
     ends = np.repeat(np.cumsum(lengths), lengths)
@@ -111,8 +115,9 @@ def _pair_arrays(sequences, index, window):
     offsets = np.array([o for o in range(-window, window + 1) if o != 0])
     positions = np.arange(len(ids))[:, None] + offsets
     valid = (positions >= starts[:, None]) & (positions < ends[:, None])
-    centers = np.broadcast_to(ids[:, None], positions.shape)[valid]
-    return centers, ids[positions[valid]]
+    contexts = np.where(valid, ids[np.where(valid, positions, 0)], -1)
+    keep = valid.any(axis=1)
+    return ids[keep], contexts[keep]
 
 
 def _sigmoid(x):
@@ -144,63 +149,90 @@ def _softmax_epoch(model, centers, contexts, lr):
     return total
 
 
-def _negative_sampling_epoch(model, centers, contexts, lr, rng, cdf, k):
-    """One pass of minibatched SGD; each row of a batch scores its context
-    (label 1) and k negatives drawn from the noise CDF (label 0), and all
+def _negative_sampling(model, counts, centers, contexts, rates, k, rng):
+    """Minibatched SGD with k negatives per center occurrence, shared by all
+    of its contexts; one epoch per learning rate in ``rates``, and each
+    epoch's summed loss is returned.
+
+    An occurrence is one row of slots: its contexts (label 1), then its
+    negatives (label 0).  An empty context slot holds one of the
+    occurrence's real contexts at weight 0, so it touches no row the batch
+    does not touch anyway.  A shared negative stands in for one negative of
+    each of the occurrence's pairs, so it is weighted by the context count:
+    the expected update, and the loss, are those of per-pair SGNS.  All
     gradients of a batch are taken at the weights before its update.
-    The batch's distinct centers are found once: the output-matrix update
-    multiplies by their vectors, and the input-matrix update writes their
-    rows."""
-    signs = np.r_[1.0, -np.ones(k)]
+    """
+    # unigram^0.75 noise, normalised the way Generator.choice normalises p
+    noise = counts ** 0.75
+    cdf = np.cumsum(noise / noise.sum())
+    cdf /= cdf[-1]
+    present = contexts >= 0
+    contexts = np.where(present, contexts, contexts.max(axis=1, keepdims=True))
+    width = contexts.shape[1] + k
+    signs = np.r_[np.ones(contexts.shape[1]), -np.ones(k)]
+    weights = np.concatenate(
+        (present, np.repeat(present.sum(axis=1, keepdims=True), k, axis=1)),
+        axis=1).astype(float)
+    signed_weights = weights * signs
+    # a batch's distinct centers are the same in every epoch
+    batches = []
+    for lo in range(0, len(centers), _OCCURRENCES):
+        compacted_c = np.unique(centers[lo:lo + _OCCURRENCES],
+                                return_inverse=True)
+        batches.append((lo, lo + _OCCURRENCES, compacted_c,
+                        np.repeat(compacted_c[1], width)))
     w_in, w_out = model.input_vectors, model.output_vectors
-    total = 0.0
-    for lo in range(0, len(centers), _BATCH):
-        c = centers[lo:lo + _BATCH]
-        negatives = np.searchsorted(cdf, rng.random((len(c), k)), side="right")
-        rows = np.concatenate((contexts[lo:lo + _BATCH, None], negatives), axis=1)
-        c_uniq, c_col = compacted_c = np.unique(c, return_inverse=True)
-        v_uniq = w_in[c_uniq]                        # distinct centers x D
-        v = v_uniq[c_col]                            # B x D
-        u = w_out[rows]                              # B x (k+1) x D
-        scores = _sigmoid(signs * np.einsum("bkd,bd->bk", u, v))
-        total += -float(np.sum(np.log(np.clip(scores, 1e-12, None))))
-        coeff = signs * (scores - 1.0)               # d(loss)/d(u_row . v)
-        grad_center = np.einsum("bk,bkd->bd", coeff, u)
-        _update_rows(w_out, np.unique(rows.ravel(), return_inverse=True),
-                     np.repeat(c_col, k + 1), v_uniq, lr, coeff.ravel())
-        _update_rows(w_in, compacted_c, np.arange(len(c)), grad_center, lr)
-    return total
+    totals = []
+    for lr in rates:
+        draws = np.searchsorted(cdf, rng.random((len(centers), k)), side="right")
+        slots = np.concatenate((contexts, draws), axis=1)
+        total = 0.0
+        for lo, hi, (c_uniq, c_col), out_cols in batches:
+            rows = slots[lo:hi]
+            # take gathers rows about twice as fast as fancy indexing
+            v_uniq = w_in.take(c_uniq, axis=0)           # distinct centers x D
+            u = w_out.take(rows, axis=0)                 # B x slots x D
+            scores = _sigmoid(signs * np.einsum("bsd,bd->bs", u,
+                                                v_uniq.take(c_col, axis=0)))
+            total -= float(np.vdot(weights[lo:hi],
+                                   np.log(np.maximum(scores, 1e-12))))
+            coeff = signed_weights[lo:hi] * (scores - 1.0)  # d(loss)/d(u . v)
+            grad_center = np.einsum("bs,bsd->bd", coeff, u)
+            _update_rows(w_out, np.unique(rows.ravel(), return_inverse=True),
+                         out_cols, v_uniq, lr, coeff.ravel())
+            _update_rows(w_in, (c_uniq, c_col), np.arange(len(c_col)),
+                         grad_center, lr)
+        totals.append(total)
+    return totals
 
 
 def train_skipgram(corpus: WalkCorpus, cfg: SkipGramConfig = SkipGramConfig()
                    ) -> tuple[EmbeddingModel, list[float]]:
     """SGD over all (center, context) pairs; returns the model and the
-    average loss per epoch.  Negative sampling updates minibatches of
-    consecutive pairs; the exact-softmax route updates pair by pair."""
+    average loss per pair for each epoch.  Negative sampling updates
+    minibatches of whole center occurrences, each with k negatives shared by
+    its contexts; the exact-softmax route updates pair by pair."""
     if not corpus.sequences or all(not s for s in corpus.sequences):
         raise EmptyCorpus("cannot train on an empty corpus")
     vocab, counts = build_vocab(corpus)
     model = init_model(vocab, cfg)
-    centers, contexts = _pair_arrays(corpus.sequences, model.index, cfg.window)
-    if len(centers) == 0:
+    centers, contexts = _occurrences(corpus.sequences, model.index, cfg.window)
+    present = contexts >= 0
+    pairs = int(present.sum())
+    if pairs == 0:
         raise EmptyCorpus("corpus yields no training pairs")
-    # unigram^0.75 noise, normalised the way Generator.choice normalises p
-    noise = counts ** 0.75
-    cdf = np.cumsum(noise / noise.sum())
-    cdf /= cdf[-1]
-    rng = np.random.default_rng(cfg.seed + 1)
-    losses = []
-    for epoch in range(cfg.epochs):
-        # linear decay to 10% of the initial rate over the epochs
-        frac = epoch / cfg.epochs
-        lr = cfg.learning_rate * (1.0 - 0.9 * frac)
-        if cfg.negative_samples == 0:
-            total = _softmax_epoch(model, centers, contexts, lr)
-        else:
-            total = _negative_sampling_epoch(model, centers, contexts, lr, rng,
-                                             cdf, cfg.negative_samples)
-        losses.append(total / len(centers))
-    return model, losses
+    # linear decay to 10% of the initial rate over the epochs
+    rates = [cfg.learning_rate * (1.0 - 0.9 * epoch / cfg.epochs)
+             for epoch in range(cfg.epochs)]
+    if cfg.negative_samples == 0:
+        pair_centers = np.broadcast_to(centers[:, None], contexts.shape)[present]
+        totals = [_softmax_epoch(model, pair_centers, contexts[present], lr)
+                  for lr in rates]
+    else:
+        totals = _negative_sampling(model, counts, centers, contexts, rates,
+                                    cfg.negative_samples,
+                                    np.random.default_rng(cfg.seed + 1))
+    return model, [total / pairs for total in totals]
 
 
 def predict_probability(model: EmbeddingModel, context: str, center: str) -> float:
@@ -227,32 +259,12 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
-# Walk tokens include literal lexical forms, so a token may hold the TSV's
-# own separators; they are written as backslash escapes.
-_TSV_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
-_TSV_ESCAPE = str.maketrans(_TSV_ESCAPES)
-_TSV_UNESCAPES = {esc[1]: char for char, esc in _TSV_ESCAPES.items()}
-_TSV_ESCAPE_RE = re.compile(r"\\(.?)", re.S)
-
-
 def export_vectors(model: EmbeddingModel) -> str:
     """One line per token: the escaped token, then its input vector, all
     tab-separated."""
-    lines = []
-    for i, token in enumerate(model.vocab):
-        cells = "\t".join(repr(float(v)) for v in model.input_vectors[i])
-        lines.append(f"{token.translate(_TSV_ESCAPE)}\t{cells}")
+    lines = [f"{_escape_token(token)}\t" + "\t".join(map(repr, row))
+             for token, row in zip(model.vocab, model.input_vectors.tolist())]
     return "\n".join(lines) + "\n"
-
-
-def _unescape_token(token: str, line_no: int) -> str:
-    def one(m):
-        try:
-            return _TSV_UNESCAPES[m.group(1)]
-        except KeyError:
-            raise MalformedVectors(
-                f"line {line_no}: bad escape {m.group(0)!r}") from None
-    return _TSV_ESCAPE_RE.sub(one, token) if "\\" in token else token
 
 
 def parse_vectors(text: str) -> tuple[list[str], np.ndarray]:
@@ -271,6 +283,6 @@ def parse_vectors(text: str) -> tuple[list[str], np.ndarray]:
             raise MalformedVectors(
                 f"line {line_no}: {len(row)} numbers, expected "
                 f"{len(rows[0]) if rows else 'at least 1'}")
-        vocab.append(_unescape_token(token, line_no))
+        vocab.append(_unescape_token(token, line_no, MalformedVectors))
         rows.append(row)
     return vocab, np.array(rows)

@@ -9,11 +9,13 @@ iteration (iteration 0 keeps the original labels).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
+import re
 from dataclasses import dataclass, field
 
 from . import schema as S
-from .errors import NoRoots
+from .errors import MalformedWalks, NoRoots
 from .rdf import KgDocument, Literal
 
 DEFAULT_SKIP_PREDICATES = frozenset({
@@ -40,13 +42,55 @@ class WalkConfig:
             raise ValueError("wl_iterations must be >= 0")
 
 
+# Walk tokens include literal lexical forms, so a token may hold the
+# separators of walks.txt and vectors.tsv; both write them as backslash
+# escapes.
+_TSV_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_TSV_ESCAPE = str.maketrans(_TSV_ESCAPES)
+_TSV_UNESCAPES = {esc[1]: char for char, esc in _TSV_ESCAPES.items()}
+_TSV_ESCAPE_RE = re.compile(r"\\(.?)", re.S)
+_TSV_SPECIALS = re.compile(r"[\\\t\n\r]")
+
+
+def _escape_token(token: str) -> str:
+    """``token`` with its tabs, line breaks and backslashes escaped
+    (``str.translate`` with this table is slow, so only where needed)."""
+    return token.translate(_TSV_ESCAPE) if _TSV_SPECIALS.search(token) else token
+
+
+def _unescape_token(token: str, line_no: int, error: type) -> str:
+    """Inverse of ``_escape_token``; raises ``error`` on an unknown escape
+    or a backslash at the end of the token."""
+    def one(m):
+        try:
+            return _TSV_UNESCAPES[m.group(1)]
+        except KeyError:
+            raise error(f"line {line_no}: bad escape {m.group(0)!r}") from None
+    return _TSV_ESCAPE_RE.sub(one, token) if "\\" in token else token
+
+
 @dataclass
 class WalkCorpus:
     sequences: list = field(default_factory=list)
 
     def as_lines(self) -> str:
-        return "\n".join(" ".join(seq) for seq in self.sequences) + (
-            "\n" if self.sequences else "")
+        """One walk per line: its escaped tokens, tab-separated.  A walk
+        holds at least one token; ``parse_walks`` reads the text back."""
+        escaped = {tok: _escape_token(tok)
+                   for tok in set(itertools.chain.from_iterable(self.sequences))}
+        return "".join("\t".join(map(escaped.__getitem__, seq)) + "\n"
+                       for seq in self.sequences)
+
+
+def parse_walks(text: str) -> WalkCorpus:
+    """Inverse of ``WalkCorpus.as_lines``; raises MalformedWalks on a bad
+    escape."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return WalkCorpus([[_unescape_token(tok, line_no, MalformedWalks)
+                        for tok in line.split("\t")]
+                       for line_no, line in enumerate(lines, 1)])
 
 
 def _token(term) -> str:

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from vh2kg.cli import main
+from vh2kg.errors import MalformedVectors
 from vh2kg.fixtures import fixture_path
 from vh2kg.rdf import EX
-from vh2kg.skipgram import (EmbeddingModel, _unescape_token, export_vectors,
-                            parse_vectors)
+from vh2kg.skipgram import EmbeddingModel, export_vectors, parse_vectors
+from vh2kg.walks import _unescape_token
 
 SCRIPT = str(fixture_path("scripts", "carry_box.txt"))
 ENV = str(fixture_path("environment.json"))
@@ -268,7 +269,8 @@ def test_cluster_and_neighbors_keep_one_row_per_token(capsys, tmp_path):
     assert lines.pop() == ""
     fields = [line.split("\t") for line in lines]
     assert all(len(f) == 2 for f in fields)
-    assert sorted(_unescape_token(f[1], 0) for f in fields) == sorted(tokens[1:])
+    assert sorted(_unescape_token(f[1], 0, MalformedVectors)
+                  for f in fields) == sorted(tokens[1:])
 
 
 def test_cluster_malformed_vectors_is_exit_1(capsys, tmp_path):

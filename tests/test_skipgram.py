@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vh2kg import skipgram
+from vh2kg import skipgram, walks
 from vh2kg.errors import (EmptyCorpus, IndexOutOfRange, MalformedVectors,
                           UnknownToken)
 from vh2kg.skipgram import (EmbeddingModel, SkipGramConfig, build_vocab,
@@ -137,6 +137,31 @@ def test_export_parse_round_trip():
     assert np.array_equal(matrix, model.input_vectors)
 
 
+def cell_by_cell_export(model):
+    """The vector writer that formats one numpy scalar at a time."""
+    lines = []
+    for i, token in enumerate(model.vocab):
+        cells = "\t".join(repr(float(v)) for v in model.input_vectors[i])
+        lines.append(f"{token.translate(walks._TSV_ESCAPE)}\t{cells}")
+    return "\n".join(lines) + "\n"
+
+
+def test_export_matches_the_cell_by_cell_writer():
+    rng = np.random.default_rng(12)
+    specials = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0,
+                         0.1, 1 / 3, 2.0 ** 60])
+    for size, dim in ((1, 1), (7, 3), (50, 64)):
+        scaled = rng.standard_normal((size, dim)) * 10.0 ** rng.integers(
+            -320, 300, size=(size, dim))
+        vectors = np.where(rng.random((size, dim)) < 0.3,
+                           rng.choice(specials, size=(size, dim)), scaled)
+        model = EmbeddingModel([f"t\t{i} \\" for i in range(size)], vectors,
+                               np.zeros_like(vectors))
+        assert export_vectors(model) == cell_by_cell_export(model)
+    assert "-0.0" in export_vectors(EmbeddingModel(["z"], np.array([[-0.0]]),
+                                                   np.zeros((1, 1))))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",))
                         | st.sampled_from("\\\t\n\r\u2028tnr")),
@@ -220,14 +245,15 @@ def per_pair_reference(corpus, cfg):
 
 
 def test_batch_of_one_matches_per_pair_sgd(monkeypatch):
+    # walks of two tokens with window 1: every occurrence has one context,
+    # so its shared negatives are that pair's own
     rng = np.random.default_rng(7)
-    seqs = [[f"w{rng.integers(25)}" for _ in range(int(rng.integers(0, 14)))]
-            for _ in range(30)]
-    corpus = WalkCorpus(seqs)
-    cfg = SkipGramConfig(vector_size=10, window=3, epochs=3,
+    corpus = WalkCorpus([[f"w{i}" for i in rng.integers(25, size=2)]
+                         for _ in range(30)])
+    cfg = SkipGramConfig(vector_size=10, window=1, epochs=3,
                          negative_samples=4, seed=3)
     expected, expected_losses = per_pair_reference(corpus, cfg)
-    monkeypatch.setattr(skipgram, "_BATCH", 1)
+    monkeypatch.setattr(skipgram, "_OCCURRENCES", 1)
     model, losses = train_skipgram(corpus, cfg)
     assert np.allclose(model.input_vectors, expected.input_vectors,
                        rtol=1e-9, atol=0)
@@ -236,21 +262,25 @@ def test_batch_of_one_matches_per_pair_sgd(monkeypatch):
     assert np.allclose(losses, expected_losses, rtol=1e-9, atol=0)
 
 
-def test_minibatches_stay_stable_on_planted_corpus(planted):
-    doc, _ = planted
-    corpus = wl_relabel(doc, WalkConfig(depth=4, walks_per_entity=100,
-                                        wl_iterations=0, seed=6))
-    model, losses = train_skipgram(corpus, SkipGramConfig(
-        vector_size=48, window=5, epochs=5, seed=6))
-    assert np.isfinite(losses).all()
-    assert all(later < losses[0] for later in losses[1:])
-    assert np.isfinite(model.input_vectors).all()
+def pair_arrays(corpus, index, window):
+    """Every (center, context) pair in corpus order: sequence by sequence,
+    center by center, context positions ascending."""
+    centers, contexts = [], []
+    for seq in corpus.sequences:
+        ids = [index[t] for t in seq]
+        for t, center in enumerate(ids):
+            for j in range(max(0, t - window), min(len(ids), t + window + 1)):
+                if j != t:
+                    centers.append(center)
+                    contexts.append(ids[j])
+    return np.array(centers), np.array(contexts)
 
 
 def minibatch_reference_epoch(model, centers, contexts, lr, rng, cdf, k):
-    """The minibatch epoch before the compacted update: every gradient of a
-    batch is materialised and summed per row with a stable argsort and
-    ``np.add.reduceat``.  Kept as the oracle for the GEMM update."""
+    """The per-pair minibatch epoch: 128 consecutive pairs, each with its
+    own k negatives, every gradient of a batch materialised and summed per
+    row with a stable argsort and ``np.add.reduceat``.  Kept as the
+    reference for loss levels."""
     def scatter_add(matrix, rows, values):
         order = np.argsort(rows, kind="stable")
         rows = rows[order]
@@ -260,11 +290,10 @@ def minibatch_reference_epoch(model, centers, contexts, lr, rng, cdf, k):
     signs = np.r_[1.0, -np.ones(k)]
     w_in, w_out = model.input_vectors, model.output_vectors
     total = 0.0
-    for lo in range(0, len(centers), skipgram._BATCH):
-        c = centers[lo:lo + skipgram._BATCH]
+    for lo in range(0, len(centers), 128):
+        c = centers[lo:lo + 128]
         negatives = np.searchsorted(cdf, rng.random((len(c), k)), side="right")
-        rows = np.concatenate((contexts[lo:lo + skipgram._BATCH, None], negatives),
-                              axis=1)
+        rows = np.concatenate((contexts[lo:lo + 128, None], negatives), axis=1)
         v = w_in[c]
         u = w_out[rows]
         scores = 1.0 / (1.0 + np.exp(-(signs * np.einsum("bkd,bd->bk", u, v))))
@@ -277,6 +306,93 @@ def minibatch_reference_epoch(model, centers, contexts, lr, rng, cdf, k):
     return total
 
 
+def pair_minibatch_reference(corpus, cfg):
+    """Training with ``minibatch_reference_epoch``: the trainer before
+    negatives were shared per center occurrence."""
+    vocab, counts = build_vocab(corpus)
+    model = init_model(vocab, cfg)
+    centers, contexts = pair_arrays(corpus, model.index, cfg.window)
+    noise = counts ** 0.75
+    cdf = np.cumsum(noise / noise.sum())
+    cdf /= cdf[-1]
+    rng = np.random.default_rng(cfg.seed + 1)
+    losses = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.learning_rate * (1.0 - 0.9 * epoch / cfg.epochs)
+        total = minibatch_reference_epoch(model, centers, contexts, lr, rng,
+                                          cdf, cfg.negative_samples)
+        losses.append(total / len(centers))
+    return model, losses
+
+
+def test_minibatches_stay_stable_on_planted_corpus(planted):
+    doc, _ = planted
+    corpus = wl_relabel(doc, WalkConfig(depth=4, walks_per_entity=100,
+                                        wl_iterations=0, seed=6))
+    cfg = SkipGramConfig(vector_size=48, window=5, epochs=5, seed=6)
+    model, losses = train_skipgram(corpus, cfg)
+    assert np.isfinite(losses).all()
+    assert all(later < losses[0] for later in losses[1:])
+    assert np.isfinite(model.input_vectors).all()
+    # shared negatives and larger batches cost little of the final loss
+    _, pair_losses = pair_minibatch_reference(corpus, cfg)
+    assert losses[-1] == pytest.approx(pair_losses[-1], rel=0.05)
+
+
+def per_occurrence_reference(corpus, cfg):
+    """Negative-sampling SGD over batches of ``skipgram._OCCURRENCES``
+    center occurrences, walked one occurrence at a time.  An occurrence's k
+    negatives are shared by its contexts and weighted by their count; every
+    gradient is taken at the weights from the start of its batch, and
+    repeated rows sum with ``np.add.at``."""
+    vocab, counts = build_vocab(corpus)
+    model = init_model(vocab, cfg)
+    occurrences = []
+    for seq in corpus.sequences:
+        ids = [model.index[t] for t in seq]
+        for t, center in enumerate(ids):
+            contexts = [ids[j] for j in range(max(0, t - cfg.window),
+                                              min(len(ids), t + cfg.window + 1))
+                        if j != t]
+            if contexts:
+                occurrences.append((center, contexts))
+    pairs = sum(len(contexts) for _, contexts in occurrences)
+    noise = counts ** 0.75
+    cdf = np.cumsum(noise / noise.sum())
+    cdf /= cdf[-1]
+    rng = np.random.default_rng(cfg.seed + 1)
+    k, batch = cfg.negative_samples, skipgram._OCCURRENCES
+    losses = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.learning_rate * (1.0 - 0.9 * epoch / cfg.epochs)
+        draws = np.searchsorted(cdf, rng.random((len(occurrences), k)),
+                                side="right")
+        total = 0.0
+        for lo in range(0, len(occurrences), batch):
+            w_in = model.input_vectors.copy()
+            w_out = model.output_vectors.copy()
+            for (center, contexts), negatives in zip(occurrences[lo:lo + batch],
+                                                     draws[lo:lo + batch]):
+                v = w_in[center]
+                u = w_out[contexts]
+                pos = 1.0 / (1.0 + np.exp(-(u @ v)))
+                u_neg = w_out[negatives]
+                neg = 1.0 / (1.0 + np.exp(u_neg @ v))
+                total -= float(np.sum(np.log(np.clip(pos, 1e-12, None))))
+                total -= len(contexts) * float(
+                    np.sum(np.log(np.clip(neg, 1e-12, None))))
+                coeff_pos = pos - 1.0
+                coeff_neg = len(contexts) * (1.0 - neg)
+                np.add.at(model.output_vectors, contexts,
+                          -lr * np.outer(coeff_pos, v))
+                np.add.at(model.output_vectors, negatives,
+                          -lr * np.outer(coeff_neg, v))
+                np.add.at(model.input_vectors, center,
+                          -lr * (coeff_pos @ u + coeff_neg @ u_neg))
+        losses.append(total / pairs)
+    return model, losses
+
+
 def random_corpus(rng, vocab_size, sequences, length):
     """Random walks over ``vocab_size`` tokens, every token used at least
     once, in sequences of ``length``."""
@@ -287,19 +403,21 @@ def random_corpus(rng, vocab_size, sequences, length):
 
 
 @pytest.mark.parametrize("vocab_size", [25, 1000])
-def test_minibatches_match_the_scatter_add_epoch(monkeypatch, vocab_size):
-    # 1000 tokens is more than the 128 * 6 rows a batch can touch, so each
-    # update compacts a strict subset of the vocabulary.
-    corpus = random_corpus(np.random.default_rng(vocab_size), vocab_size,
-                           sequences=60, length=30)
+def test_minibatches_match_the_scatter_add_epoch(vocab_size):
+    # 1000 tokens is more than the 52 * (6 + 5) rows a batch can touch, so
+    # each update compacts a strict subset of the vocabulary.  Walks of
+    # uneven length leave some context slots empty, and a walk of one token
+    # is an occurrence without contexts.
+    rng = np.random.default_rng(vocab_size)
+    corpus = random_corpus(rng, vocab_size, sequences=60, length=30)
+    corpus.sequences += [[f"w{i}" for i in rng.integers(vocab_size, size=n)]
+                         for n in (1, 2, 3, 5, 1)]
     cfg = SkipGramConfig(vector_size=16, window=3, epochs=3,
                          negative_samples=5, seed=11)
-    assert skipgram._BATCH == 128
+    assert skipgram._OCCURRENCES == 52
     model, losses = train_skipgram(corpus, cfg)
     assert len(model.vocab) == vocab_size
-    monkeypatch.setattr(skipgram, "_negative_sampling_epoch",
-                        minibatch_reference_epoch)
-    expected, expected_losses = train_skipgram(corpus, cfg)
+    expected, expected_losses = per_occurrence_reference(corpus, cfg)
     assert np.allclose(model.input_vectors, expected.input_vectors,
                        rtol=1e-9, atol=0)
     assert np.allclose(model.output_vectors, expected.output_vectors,

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from vh2kg import rdf, walks
 from vh2kg import schema as S
-from vh2kg.errors import NoRoots
+from vh2kg.errors import MalformedWalks, NoRoots
 from vh2kg.rdf import (SCHEMA_NAMESPACES, KgDocument, Literal, graph_stats,
                        integer, string)
-from vh2kg.walks import (DEFAULT_SKIP_PREDICATES, WalkConfig, extract_walks,
-                         wl_labelings, wl_relabel)
+from vh2kg.walks import (DEFAULT_SKIP_PREDICATES, WalkConfig, WalkCorpus,
+                         extract_walks, parse_walks, wl_labelings, wl_relabel)
 
 P = "http://t/p/"
 N = "http://t/n/"
@@ -269,3 +269,27 @@ def test_walk_builds_only_visited_adjacency(monkeypatch):
                for i in range(0, len(seq) - 1, 2)}
     assert set(views[1].adj) == visited == {N + "a", N + "b", N + "c", N + "d"}
 
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.text(st.characters(blacklist_categories=("Cs",))
+                                 | st.sampled_from(" \\\t\n\r\u2028tnr")),
+                         min_size=1, max_size=5),
+                max_size=5))
+def test_walks_text_round_trips(sequences):
+    text = WalkCorpus(sequences).as_lines()
+    assert text.count("\n") == len(sequences)
+    assert parse_walks(text).sequences == sequences
+
+
+def test_corpus_walks_read_back(base_doc):
+    # literal tokens hold spaces, so each walk must come back whole
+    corpus = wl_relabel(base_doc, WalkConfig(depth=4, walks_per_entity=25,
+                                             wl_iterations=0, seed=7))
+    assert any(" " in tok for seq in corpus.sequences for tok in seq)
+    assert parse_walks(corpus.as_lines()).sequences == corpus.sequences
+
+
+@pytest.mark.parametrize("text", ["a\\q\tb\n", "a\tb\\\n"])
+def test_parse_walks_rejects_bad_escapes(text):
+    with pytest.raises(MalformedWalks):
+        parse_walks(text)
