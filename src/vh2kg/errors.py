@@ -36,6 +36,12 @@ class DanglingEdge(VH2KGError):
     pass
 
 
+class MalformedEnvironment(VH2KGError):
+    """An environment node without an integer id or a class name, a bbox
+    that is not 3 finite numbers per vector, or an edge with a missing id
+    or an unknown relation."""
+
+
 class NoAgent(VH2KGError):
     pass
 

@@ -13,8 +13,8 @@ import math
 import re
 from dataclasses import dataclass, replace
 
-from .errors import (DanglingEdge, DuplicateId, InvalidName,
-                     MalformedAffordances, NoAgent, Orphan, ScoreOutOfRange)
+from .errors import (DanglingEdge, DuplicateId, InvalidName, MalformedAffordances,
+                     MalformedEnvironment, NoAgent, Orphan, ScoreOutOfRange)
 
 RELATIONS = frozenset({"INSIDE", "ON", "CLOSE", "FACING", "HOLDS_RH", "HOLDS_LH"})
 
@@ -115,7 +115,9 @@ class EnvironmentGraph:
             _rooms=tuple(nodes[i] for i in room_at),
             # simulate.run_script's initial state per SimConfig: every
             # script over this scene starts from the same one.
-            _initial_states={})
+            _initial_states={},
+            # synth's node table per (scene id, affordance table)
+            _node_tables={})
 
     def _derive(self, nodes, edges) -> "EnvironmentGraph":
         """A graph over ``nodes`` in this graph's node order, sharing its index."""
@@ -123,7 +125,7 @@ class EnvironmentGraph:
         rooms = (self._rooms if nodes is self.nodes
                  else tuple(nodes[i] for i in self._room_at))
         graph.__dict__.update(self.__dict__, nodes=nodes, edges=edges,
-                              _rooms=rooms, _initial_states={})
+                              _rooms=rooms, _initial_states={}, _node_tables={})
         return graph
 
     @property
@@ -160,14 +162,34 @@ class EnvironmentGraph:
         return self._derive(self.nodes, tuple(edges))
 
 
+def _coordinates(node_id: int, bb: dict, key: str) -> tuple:
+    values = bb.get(key)
+    if (not isinstance(values, (list, tuple)) or len(values) != 3
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and math.isfinite(v) for v in values)):
+        raise MalformedEnvironment(
+            f"node {node_id}: bbox {key} must be 3 finite numbers, not {values!r}")
+    if key == "size" and any(v < 0 for v in values):
+        raise MalformedEnvironment(f"node {node_id}: negative bbox size {values!r}")
+    return tuple(values)
+
+
 def load_environment(document: dict) -> EnvironmentGraph:
     """Build a validated EnvironmentGraph from its JSON document.
 
     Class names, states and properties end up in IRIs, so each must pass
-    ``check_name``."""
+    ``check_name``.  A node without an integer id or a class name, a bbox
+    whose center or size is not 3 finite numbers (sizes non-negative), and
+    an edge without both ids or with an unknown relation raise
+    MalformedEnvironment, naming the node or edge."""
     nodes = []
     seen = set()
-    for nd in document["nodes"]:
+    for position, nd in enumerate(document["nodes"]):
+        if not isinstance(nd.get("id"), int) or isinstance(nd["id"], bool):
+            raise MalformedEnvironment(
+                f"node #{position} ({nd.get('class_name')}) has no integer id")
+        if "class_name" not in nd:
+            raise MalformedEnvironment(f"node {nd['id']} has no class_name")
         if nd["id"] in seen:
             raise DuplicateId(f"node id {nd['id']} appears twice")
         seen.add(nd["id"])
@@ -182,11 +204,17 @@ def load_environment(document: dict) -> EnvironmentGraph:
                              for tok in nd.get("states", [])),
             properties=frozenset(check_name("property", tok)
                                  for tok in nd.get("properties", [])),
-            bbox=BoundingBox(tuple(bb["center"]), tuple(bb["size"])),
+            bbox=BoundingBox(_coordinates(nd["id"], bb, "center"),
+                             _coordinates(nd["id"], bb, "size")),
         ))
     ids = {n.id for n in nodes}
     edges = []
     for ed in document["edges"]:
+        if "from_id" not in ed or "to_id" not in ed:
+            raise MalformedEnvironment(f"edge {ed!r} needs a from_id and a to_id")
+        if ed.get("relation_type") not in RELATIONS:
+            raise MalformedEnvironment(
+                f"edge {ed!r}: unknown relation; choose from {', '.join(sorted(RELATIONS))}")
         if ed["from_id"] not in ids or ed["to_id"] not in ids:
             raise DanglingEdge(f"edge {ed} references a missing node")
         edges.append(RelationEdge(ed["from_id"], ed["relation_type"], ed["to_id"]))

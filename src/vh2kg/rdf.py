@@ -10,6 +10,7 @@ writers do their Python-level work per subject, not per triple.
 from __future__ import annotations
 
 import gc
+import math
 import re
 from bisect import insort
 from contextlib import contextmanager
@@ -18,7 +19,7 @@ from functools import lru_cache, partial
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import NTriplesSyntaxError
+from .errors import InvalidTrace, NTriplesSyntaxError
 
 # Namespace table.  The instance/ontology/action namespaces follow the
 # conventional virtualhome2kg layout; ho/hra hang off the ontology root;
@@ -98,7 +99,11 @@ def integer(value: int) -> Literal:
 
 
 def _fixed_point(value: float, places: int) -> Literal:
-    # Fixed-point lexical form keeps serialization byte-stable.
+    # Fixed-point lexical form keeps serialization byte-stable.  xsd:decimal
+    # has no form for nan or infinity; a finite input can still overflow
+    # on the way here (a putBack lands on top of its target).
+    if not math.isfinite(value):
+        raise InvalidTrace(f"{value!r} has no xsd:decimal form")
     lex = f"{value:.{places}f}".rstrip("0")
     if lex.endswith("."):
         lex += "0"

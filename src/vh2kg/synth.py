@@ -6,6 +6,15 @@ affordance/attribute links.  Each object gets a state node in situation 0
 and a new one after each step whose ``changed_object_ids`` names it;
 otherwise the previous state instance is reused as part of the new
 situation.
+
+What every activity over a scene repeats is worked out once per scene: a
+node table, cached on the trace's situation-0 graph and keyed by the scene
+id and the affordance table's value, holds each node's IRI, its scene
+triples (class, room type or height, affordances, attributes), its IRI
+stem and its situation-0 bbox literals and state tokens.  An object that
+no step of the trace changes emits its situation-0 state block from the
+table, then one ``partOf`` per later situation; only changed objects walk
+``state_indices``.
 """
 
 from __future__ import annotations
@@ -15,7 +24,8 @@ from dataclasses import dataclass
 
 from . import schema as S
 from .errors import InvalidTrace
-from .home import PROPERTY_VERBS, ObjectNode, afforded_verbs, check_name
+from .home import (PROPERTY_VERBS, EnvironmentGraph, ObjectNode, afforded_verbs,
+                   check_name)
 from .rdf import EX, KgDocument, _as_triple, _paused_gc, decimal, integer, string
 from .simulate import Trace
 
@@ -165,55 +175,104 @@ def _emit_activity(trace: Trace, meta: ActivityMeta,
     extend((situation, S.RDF_TYPE, S.SITUATION) for situation in situations)
 
     # objects, states, shapes
+    changed = frozenset().union(*(tr.changed_object_ids for tr in trace.transitions))
+    local = f.local
+    later = situations[1:]
+    for node_id, iri, scene_triples, stem, literals, tokens in _node_table(
+            env0, f, affordance_table):
+        extend(scene_triples)
+        if literals is None:  # a room has no state
+            continue
+        # the IRIs of IriFactory.state and IriFactory.shape
+        prev = f"{EX}state0_{stem}_{local}"
+        extend(_state_triples(prev, f"{EX}shape0_{stem}_{local}", iri, situations[0],
+                              literals, tokens))
+        if node_id not in changed:
+            extend([(prev, S.PART_OF, situation) for situation in later])
+            continue
+        for n, minted in enumerate(state_indices(trace, node_id)[1:], 1):
+            if minted != n:
+                add((prev, S.PART_OF, situations[n]))
+                continue
+            current = trace.situations[n].graph.node(node_id)
+            state_iri = f"{EX}state{n}_{stem}_{local}"
+            extend(_state_triples(state_iri, f"{EX}shape{n}_{stem}_{local}", iri,
+                                  situations[n], _bbox_literals(current),
+                                  _state_tokens(current)))
+            extend(((prev, S.NEXT_STATE, state_iri),
+                    (state_iri, S.PREVIOUS_STATE, prev)))
+            prev = state_iri
+    return out
+
+
+def _bbox_literals(node: ObjectNode) -> tuple:
+    return tuple(map(decimal, (*node.bbox.center, *node.bbox.size)))
+
+
+def _state_tokens(node: ObjectNode) -> tuple[str, ...]:
+    return tuple(S.VH2KG + tok for tok in sorted(node.states))
+
+
+def _node_table(env0: EnvironmentGraph, f: IriFactory, affordance_table) -> tuple:
+    """One row per node of a trace's situation-0 graph, in node order:
+    ``(id, IRI, scene triples, IRI stem, bbox literals, state-token IRIs)``.
+
+    The scene triples (class, room type or height, affordances,
+    attributes) are the same in every activity over the scene.  The bbox
+    literals (center then size) and state tokens are situation 0's; a room
+    has ``None`` for both.  The table is cached on the graph, keyed by the
+    scene id and by the affordance table's value, so a table mutated in
+    place gets a new row set; a graph derived by ``with_nodes`` or
+    ``with_edges`` starts with an empty cache."""
+    key = (f.scene, frozenset((cls, frozenset(verbs))
+                            for cls, verbs in (affordance_table or {}).items()))
+    table = env0._node_tables.get(key)
+    if table is not None:
+        return table
+    rows = []
     for node in env0.nodes:
         iri = _node_iri(f, node)
-        add((iri, S.RDF_TYPE, S.HO + node.class_name))
+        scene_triples = [(iri, S.RDF_TYPE, S.HO + node.class_name)]
         if node.is_room:
-            add((iri, S.RDF_TYPE, S.ROOM))
+            scene_triples.append((iri, S.RDF_TYPE, S.ROOM))
+            rows.append((node.id, iri, tuple(scene_triples),
+                         f"{node.class_name}{node.id}", None, None))
             continue
         height_iri = f.height(node)
-        extend(((iri, S.HEIGHT, height_iri),
-                (height_iri, S.RDF_VALUE, decimal(node.height_meters))))
-        for verb in sorted(afforded_verbs(node, affordance_table)):
-            add((iri, S.AFFORDS, S.action_iri(verb)))
-        for tok in sorted(node.properties):
-            if tok not in PROPERTY_VERBS:
-                add((iri, S.ATTRIBUTE, S.VH2KG + tok))
+        scene_triples += ((iri, S.HEIGHT, height_iri),
+                          (height_iri, S.RDF_VALUE, decimal(node.height_meters)))
+        scene_triples += ((iri, S.AFFORDS, S.action_iri(verb))
+                          for verb in sorted(afforded_verbs(node, affordance_table)))
+        scene_triples += ((iri, S.ATTRIBUTE, S.VH2KG + tok)
+                          for tok in sorted(node.properties) if tok not in PROPERTY_VERBS)
+        rows.append((node.id, iri, tuple(scene_triples), f"{node.class_name}{node.id}",
+                     _bbox_literals(node), _state_tokens(node)))
+    table = env0._node_tables[key] = tuple(rows)
+    return table
 
-        prev_state_iri = None
-        for n, minted in enumerate(state_indices(trace, node.id)):
-            if minted != n:
-                add((prev_state_iri, S.PART_OF, situations[n]))
-                continue
-            current = trace.situations[n].graph.node(node.id)
-            state_iri = f.state(n, node)
-            shape_iri = f.shape(n, node)
-            # the center and size collections, three cells each
-            c0, c1, c2 = (shape_iri + "_center_cell0", shape_iri + "_center_cell1",
-                          shape_iri + "_center_cell2")
-            s0, s1, s2 = (shape_iri + "_size_cell0", shape_iri + "_size_cell1",
-                          shape_iri + "_size_cell2")
-            cx, cy, cz = current.bbox.center
-            sx, sy, sz = current.bbox.size
-            extend(((state_iri, S.RDF_TYPE, S.STATE),
-                    (state_iri, S.IS_STATE_OF, iri),
-                    (state_iri, S.PART_OF, situations[n]),
-                    (state_iri, S.BBOX, shape_iri),
-                    (shape_iri, S.RDF_TYPE, S.SHAPE),
-                    (shape_iri, S.BBOX_CENTER, c0),
-                    (c0, S.RDF_FIRST, decimal(cx)), (c0, S.RDF_REST, c1),
-                    (c1, S.RDF_FIRST, decimal(cy)), (c1, S.RDF_REST, c2),
-                    (c2, S.RDF_FIRST, decimal(cz)), (c2, S.RDF_REST, S.RDF_NIL),
-                    (shape_iri, S.BBOX_SIZE, s0),
-                    (s0, S.RDF_FIRST, decimal(sx)), (s0, S.RDF_REST, s1),
-                    (s1, S.RDF_FIRST, decimal(sy)), (s1, S.RDF_REST, s2),
-                    (s2, S.RDF_FIRST, decimal(sz)), (s2, S.RDF_REST, S.RDF_NIL)))
-            for tok in sorted(current.states):
-                tok_iri = S.VH2KG + tok
-                extend(((state_iri, S.STATE_PROP, tok_iri),
-                        (tok_iri, S.RDF_TYPE, S.STATE_TYPE)))
-            if prev_state_iri is not None:
-                extend(((prev_state_iri, S.NEXT_STATE, state_iri),
-                        (state_iri, S.PREVIOUS_STATE, prev_state_iri)))
-            prev_state_iri = state_iri
-    return out
+
+def _state_triples(state_iri: str, shape_iri: str, iri: str, situation: str,
+                   literals: tuple, tokens: tuple[str, ...]) -> list[tuple]:
+    """A state node of object ``iri`` in ``situation``: its shape, whose
+    center and size are three-cell collections, then its state tokens."""
+    cx, cy, cz, sx, sy, sz = literals
+    c0, c1, c2 = (shape_iri + "_center_cell0", shape_iri + "_center_cell1",
+                  shape_iri + "_center_cell2")
+    s0, s1, s2 = (shape_iri + "_size_cell0", shape_iri + "_size_cell1",
+                  shape_iri + "_size_cell2")
+    block = [(state_iri, S.RDF_TYPE, S.STATE),
+             (state_iri, S.IS_STATE_OF, iri),
+             (state_iri, S.PART_OF, situation),
+             (state_iri, S.BBOX, shape_iri),
+             (shape_iri, S.RDF_TYPE, S.SHAPE),
+             (shape_iri, S.BBOX_CENTER, c0),
+             (c0, S.RDF_FIRST, cx), (c0, S.RDF_REST, c1),
+             (c1, S.RDF_FIRST, cy), (c1, S.RDF_REST, c2),
+             (c2, S.RDF_FIRST, cz), (c2, S.RDF_REST, S.RDF_NIL),
+             (shape_iri, S.BBOX_SIZE, s0),
+             (s0, S.RDF_FIRST, sx), (s0, S.RDF_REST, s1),
+             (s1, S.RDF_FIRST, sy), (s1, S.RDF_REST, s2),
+             (s2, S.RDF_FIRST, sz), (s2, S.RDF_REST, S.RDF_NIL)]
+    for tok_iri in tokens:
+        block += ((state_iri, S.STATE_PROP, tok_iri), (tok_iri, S.RDF_TYPE, S.STATE_TYPE))
+    return block

@@ -139,6 +139,43 @@ def test_bad_state_token_is_exit_1(capsys, tmp_path):
     assert (code, out) == (1, "")
 
 
+def _box(env):
+    return next(n for n in env["nodes"] if n["id"] == 194)
+
+
+#: Each edit makes the fixture environment malformed, with the text the
+#: logged error must hold.
+BAD_ENVIRONMENTS = {
+    "nan-center": (lambda env: _box(env)["bounding_box"]["center"].__setitem__(
+        0, float("nan")), "node 194: bbox center"),
+    "infinite-size": (lambda env: _box(env)["bounding_box"]["size"].__setitem__(
+        1, float("inf")), "node 194: bbox size"),
+    "unknown-relation": (lambda env: env["edges"][0].update(relation_type="NEAR"),
+                         "unknown relation"),
+    "node-without-id": (lambda env: _box(env).pop("id"), "has no integer id"),
+    "two-coordinate-center": (lambda env: _box(env)["bounding_box"]["center"].pop(),
+                              "node 194: bbox center must be 3 finite numbers"),
+    "negative-size": (lambda env: _box(env)["bounding_box"]["size"].__setitem__(0, -0.1),
+                      "node 194: negative bbox size"),
+    "string-coordinate": (lambda env: _box(env)["bounding_box"]["center"].__setitem__(
+        2, "1.5"), "node 194: bbox center"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENVIRONMENTS))
+def test_malformed_environment_is_exit_1(capsys, caplog, tmp_path, case):
+    edit, message = BAD_ENVIRONMENTS[case]
+    env = json.loads(Path(ENV).read_text(encoding="utf-8"))
+    edit(env)
+    bad_env = tmp_path / "environment.json"
+    bad_env.write_text(json.dumps(env), encoding="utf-8")
+    code = main(["build-kg", SCRIPT, str(bad_env), "--affordances", AFF])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "Traceback" not in captured.err
+    assert message in caplog.text
+
+
 @pytest.mark.parametrize("row", ["mug", "mug,grab,high"])
 def test_malformed_affordances_is_exit_1(capsys, caplog, tmp_path, row):
     bad = tmp_path / "bad.csv"

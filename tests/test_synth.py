@@ -1,5 +1,7 @@
 """Structural invariants of the synthesized knowledge graphs."""
 
+import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -7,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from vh2kg import schema as S
 from vh2kg import synth
-from vh2kg.errors import InvalidName
-from vh2kg.home import afforded_verbs
-from vh2kg.rdf import KgDocument, KgIndex, Literal, Triple
-from vh2kg.simulate import SimulationState, Trace
+from vh2kg.errors import InvalidName, InvalidTrace
+from vh2kg.fixtures import fixture_path
+from vh2kg.home import PROPERTY_VERBS, BoundingBox, afforded_verbs, load_environment
+from vh2kg.rdf import KgDocument, KgIndex, Literal, Triple, decimal, integer, string
+from vh2kg.scripts import parse_script
+from vh2kg.simulate import SimulationState, Trace, run_script
 from vh2kg.synth import IriFactory, state_indices
 
 
@@ -289,3 +293,227 @@ def test_property_verbs_match_old_table(base_runs, tokens, class_verbs):
     assert set(idx.objects(iri, S.AFFORDS)) == {S.action_iri(v) for v in expected}
     assert set(idx.objects(iri, S.ATTRIBUTE)) == {
         S.VH2KG + tok for tok in old_attributes(node)}
+
+
+# --- oracle: the emitter before the per-scene node table ---
+
+def reference_emit(trace, meta, affordance_table):
+    """Every activity triple, built from the trace alone: each object's
+    class, height, affordances, attributes and bbox literals are worked out
+    again in each activity, and ``state_indices`` runs for every object."""
+    out = []
+    add, extend = out.append, out.extend
+    f = IriFactory.for_meta(meta)
+    activity, agent_iri = f.activity(), f.agent()
+    n_events = len(trace.transitions)
+    events = [f.event(n) for n in range(n_events)]
+    situations = [f.situation(n) for n in range(len(trace.situations))]
+
+    def node_iri(node):
+        return f.agent() if node.is_agent else f.object(node)
+
+    category_class = S.CATEGORY_CLASSES.get(meta.category, S.CATEGORY_CLASSES["Other"])
+    extend(((activity, S.RDF_TYPE, category_class),
+            (activity, S.RDF_TYPE, S.ACTIVITY),
+            (category_class, S.RDFS_SUBCLASS, S.ACTIVITY),
+            (activity, S.RDFS_LABEL, string(meta.name))))
+    if meta.description:
+        add((activity, S.RDFS_COMMENT, string(meta.description)))
+    rounded = [round(tr.duration_seconds, 9) for tr in trace.transitions]
+    extend(((activity, S.AGENT, agent_iri),
+            (activity, S.VIRTUAL_HOME, f.scene_iri()),
+            (activity, S.TIME_PROP, decimal(sum(rounded))),
+            (agent_iri, S.RDF_TYPE, S.CHARACTER)))
+
+    env0 = trace.situations[0].graph
+    for n, tr in enumerate(trace.transitions):
+        ev = events[n]
+        extend(((activity, S.HAS_EVENT, ev),
+                (ev, S.RDF_TYPE, S.EVENT),
+                (ev, S.EVENT_NUMBER, integer(n)),
+                (ev, S.ACTION, S.action_iri(tr.step.verb)),
+                (ev, S.AGENT, agent_iri),
+                (ev, S.SITUATION_BEFORE, situations[n]),
+                (ev, S.SITUATION_AFTER, situations[n + 1]),
+                (ev, S.TIME_PROP, decimal(rounded[n]))))
+        if n == n_events - 1:
+            add((ev, S.RDF_TYPE, S.END_EVENT))
+        if tr.step.main_object is not None:
+            add((ev, S.MAIN_OBJECT, node_iri(env0.node(tr.step.main_object.id))))
+        if tr.step.target_object is not None:
+            add((ev, S.TARGET_OBJECT, node_iri(env0.node(tr.step.target_object.id))))
+        if n > 0:
+            add((ev, S.PREVIOUS_EVENT, events[n - 1]))
+        if n < n_events - 1:
+            add((ev, S.NEXT_EVENT, events[n + 1]))
+        if tr.start_room_id == tr.end_room_id:
+            add((ev, S.PLACE, f.object(env0.node(tr.end_room_id))))
+        else:
+            extend(((ev, S.FROM, f.object(env0.node(tr.start_room_id))),
+                    (ev, S.TO, f.object(env0.node(tr.end_room_id)))))
+
+    extend((situation, S.RDF_TYPE, S.SITUATION) for situation in situations)
+
+    for node in env0.nodes:
+        iri = node_iri(node)
+        add((iri, S.RDF_TYPE, S.HO + node.class_name))
+        if node.is_room:
+            add((iri, S.RDF_TYPE, S.ROOM))
+            continue
+        height_iri = f.height(node)
+        extend(((iri, S.HEIGHT, height_iri),
+                (height_iri, S.RDF_VALUE, decimal(node.height_meters))))
+        for verb in sorted(afforded_verbs(node, affordance_table)):
+            add((iri, S.AFFORDS, S.action_iri(verb)))
+        for tok in sorted(node.properties):
+            if tok not in PROPERTY_VERBS:
+                add((iri, S.ATTRIBUTE, S.VH2KG + tok))
+
+        prev_state_iri = None
+        for n, minted in enumerate(state_indices(trace, node.id)):
+            if minted != n:
+                add((prev_state_iri, S.PART_OF, situations[n]))
+                continue
+            current = trace.situations[n].graph.node(node.id)
+            state_iri, shape_iri = f.state(n, node), f.shape(n, node)
+            c0, c1, c2 = (shape_iri + f"_center_cell{i}" for i in range(3))
+            s0, s1, s2 = (shape_iri + f"_size_cell{i}" for i in range(3))
+            cx, cy, cz = current.bbox.center
+            sx, sy, sz = current.bbox.size
+            extend(((state_iri, S.RDF_TYPE, S.STATE),
+                    (state_iri, S.IS_STATE_OF, iri),
+                    (state_iri, S.PART_OF, situations[n]),
+                    (state_iri, S.BBOX, shape_iri),
+                    (shape_iri, S.RDF_TYPE, S.SHAPE),
+                    (shape_iri, S.BBOX_CENTER, c0),
+                    (c0, S.RDF_FIRST, decimal(cx)), (c0, S.RDF_REST, c1),
+                    (c1, S.RDF_FIRST, decimal(cy)), (c1, S.RDF_REST, c2),
+                    (c2, S.RDF_FIRST, decimal(cz)), (c2, S.RDF_REST, S.RDF_NIL),
+                    (shape_iri, S.BBOX_SIZE, s0),
+                    (s0, S.RDF_FIRST, decimal(sx)), (s0, S.RDF_REST, s1),
+                    (s1, S.RDF_FIRST, decimal(sy)), (s1, S.RDF_REST, s2),
+                    (s2, S.RDF_FIRST, decimal(sz)), (s2, S.RDF_REST, S.RDF_NIL)))
+            for tok in sorted(current.states):
+                tok_iri = S.VH2KG + tok
+                extend(((state_iri, S.STATE_PROP, tok_iri),
+                        (tok_iri, S.RDF_TYPE, S.STATE_TYPE)))
+            if prev_state_iri is not None:
+                extend(((prev_state_iri, S.NEXT_STATE, state_iri),
+                        (state_iri, S.PREVIOUS_STATE, prev_state_iri)))
+            prev_state_iri = state_iri
+    return out
+
+
+def assert_matches_reference(trace, meta, affordance_table):
+    built = synth.build_activity_kg(trace, meta, affordance_table)
+    assert list(built.triples) == list(dict.fromkeys(
+        reference_emit(trace, meta, affordance_table)))
+
+
+def trace_meta(trace):
+    script = trace.script
+    return synth.ActivityMeta(name=script.name, category=script.category,
+                              description=script.description)
+
+
+#: A script over the cluttered scene: it grabs and carries two clutter
+#: objects, switches one on and sets the other down on the floor.
+CLUTTER_SCRIPT = """Tidy clutter
+Carry two things from the clutter to the floor.
+[WALK] <mug> (1000)
+[GRAB] <mug> (1000)
+[WALK] <candle> (1001)
+[SWITCHON] <candle> (1001)
+[GRAB] <candle> (1001)
+[WALK] <floor> (337)
+[PUTBACK] <mug> (1000) <floor> (337)
+"""
+
+
+@pytest.fixture(scope="module")
+def clutter_runs(scripts, affordance_table):
+    """The fixture environment plus 120 seeded clutter objects (every room
+    holds some; a few afford grabbing or switching, some carry state tokens
+    and attributes), with the clutter script and three fixture scripts run
+    over it.  The clutter script moves two of the objects."""
+    document = json.loads(fixture_path("environment.json").read_text(encoding="utf-8"))
+    rooms = [n for n in document["nodes"] if n.get("is_room")]
+    rng = random.Random(11)
+    for i in range(120):
+        room = rooms[i % len(rooms)]
+        (cx, _, cz), (sx, _, sz) = (room["bounding_box"]["center"],
+                                    room["bounding_box"]["size"])
+        size = [round(rng.uniform(0.05, 0.3), 3) for _ in range(3)]
+        node = {"id": 1000 + i, "class_name": rng.choice(("coin", "book", "toy", "mug")),
+                "states": rng.choice(([], ["CLEAN"], ["DIRTY", "OFF"])),
+                "properties": rng.choice((["MOVABLE"], ["GRABBABLE", "CUTTABLE"], [])),
+                "bounding_box": {"size": size, "center": [
+                    round(rng.uniform(cx - sx / 2 + 0.3, cx + sx / 2 - 0.3), 3),
+                    size[1] / 2,
+                    round(rng.uniform(cz - sz / 2 + 0.3, cz + sz / 2 - 0.3), 3)]}}
+        document["nodes"].append(node)
+        document["edges"].append({"from_id": node["id"], "relation_type": "INSIDE",
+                                  "to_id": room["id"]})
+    document["nodes"][-120].update(class_name="mug")
+    document["nodes"][-119].update(class_name="candle", states=["OFF"],
+                                   properties=["GRABBABLE", "HAS_SWITCH"])
+    env = load_environment(document)
+    chosen = [parse_script(CLUTTER_SCRIPT)] + [
+        s for s in scripts if s.name in ("Carry box", "Drink water", "Watch TV")]
+    runs = [run_script(s, env, affordance_table=affordance_table) for s in chosen]
+    runs = [(trace, trace_meta(trace)) for trace in runs]
+    moved = set().union(*(tr.changed_object_ids for tr in runs[0][0].transitions))
+    assert {1000, 1001} <= moved
+    return runs
+
+
+def test_order_contract_matches_reference_emitter(base_runs, fp_runs, repair_traces,
+                                                  clutter_runs, affordance_table):
+    for trace, meta in [*base_runs, *fp_runs, *clutter_runs]:
+        assert_matches_reference(trace, meta, affordance_table)
+    for trace in repair_traces:
+        assert_matches_reference(trace, trace_meta(trace), affordance_table)
+
+
+def test_node_table_never_serves_a_stale_block(clutter_runs, affordance_table):
+    trace, meta = clutter_runs[0]
+    # one graph under two scene ids
+    for scene in ("scene1", "scene2", "scene1"):
+        assert_matches_reference(trace, replace(meta, scene_id=scene), affordance_table)
+    # one graph under several affordance tables, and none
+    grab_all = {cls: frozenset({"grab", "touch"}) for cls in ("coin", "toy", "mug")}
+    for table in (affordance_table, grab_all, None, affordance_table):
+        assert_matches_reference(trace, meta, table)
+    # a table mutated in place between calls
+    table = dict(affordance_table)
+    assert_matches_reference(trace, meta, table)
+    table["coin"] = frozenset({"read"})
+    assert_matches_reference(trace, meta, table)
+    table["mug"] = table["mug"] | {"pour"}
+    assert_matches_reference(trace, meta, table)
+    # a with_nodes-derived graph as situation 0
+    g0 = trace.situations[0].graph
+    coin = next(n for n in g0.nodes if n.class_name == "coin")
+    derived = g0.with_nodes({coin.id: replace(coin, states=frozenset({"ON"}),
+                                              properties=frozenset({"EATABLE"}))})
+    edited = Trace(trace.script, (replace(trace.situations[0], graph=derived),
+                                  *trace.situations[1:]), trace.transitions)
+    assert_matches_reference(edited, meta, affordance_table)
+    assert_matches_reference(trace, meta, affordance_table)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_value_is_invalid_trace(base_runs, affordance_table, value):
+    # load_environment refuses such a bbox; a finite one can still overflow
+    # in the simulator, so the literal writer refuses it too.
+    with pytest.raises(InvalidTrace, match="no xsd:decimal form"):
+        decimal(value)
+    assert decimal(1e300).lexical.startswith("1000000000")
+    trace, meta = base_runs[0]
+    g0 = trace.situations[0].graph
+    node = next(n for n in g0.nodes if not n.is_room and not n.is_agent)
+    bad = replace(node, bbox=BoundingBox((value, 0.0, 0.0), node.bbox.size))
+    one_situation = (SimulationState(g0.with_nodes({node.id: bad})),)
+    with pytest.raises(InvalidTrace):
+        synth.build_activity_kg(Trace(trace.script, one_situation, ()), meta,
+                                affordance_table)
