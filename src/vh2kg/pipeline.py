@@ -16,8 +16,10 @@ from . import analytics, risk
 from .cluster import KMeansConfig, clusters_csv, kmeans
 from .errors import BadConfig, MissingSetting
 from .home import EnvironmentGraph
-from .rdf import (KgDocument, augmented, graph_stats, serialize_ntriples,
-                  serialize_turtle)
+from .rdf import (KgDocument, augmented_lines, graph_stats, ntriples_lines,
+                  sorted_positions, turtle_header, turtle_lines, write_lines)
+# Not called here; the benchmark's tracer wraps these names.
+from .rdf import serialize_ntriples, serialize_turtle  # noqa: F401
 from .scripts import ActivityScript
 from .simulate import DurationModel, SimConfig, Trace, run_script
 from .skipgram import SkipGramConfig, export_vectors, train_skipgram
@@ -25,8 +27,8 @@ from .synth import ActivityMeta, IriFactory, build_activity_kg, snake_case
 from .walks import WalkConfig, wl_relabel
 
 
-#: Per-activity file formats and their writers, in the order they are written.
-FORMATS = {"nt": serialize_ntriples, "ttl": serialize_turtle}
+#: Per-activity file formats, in the order they are written.
+FORMATS = ("nt", "ttl")
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,7 @@ class PipelineConfig:
     mode: str = "strict"
     seed: int = 0
     scene_id: str = "scene1"
-    formats: tuple = tuple(FORMATS)
+    formats: tuple = FORMATS
     sim: SimConfig = SimConfig()
     duration: DurationModel = DurationModel()
     walk: WalkConfig = field(default_factory=lambda: WalkConfig(
@@ -132,6 +134,34 @@ def analysis_report(doc: KgDocument) -> dict:
     }
 
 
+def _write_graphs(out: Path, doc: KgDocument, risk_doc: KgDocument,
+                  names: list, parts: list, formats) -> None:
+    """Write ``corpus.nt``, ``corpus_with_risks.nt`` and, in each of
+    ``formats``, one file per activity: ``names[i]`` holds the triples
+    ``parts[i]`` of ``doc``.
+
+    The corpus is sorted once and each triple formatted once per format;
+    an activity's file is the corpus lines at its triples' positions (see
+    ``rdf.sorted_positions``), so one qname table serves every Turtle file.
+    The N-Triples lines are freed before the Turtle lines are made, and
+    each file is written in chunks.
+    """
+    order = doc.sorted_triples()
+    activities = list(zip(names, sorted_positions(doc, parts)))
+    lines = ntriples_lines(order)
+    write_lines(out / "corpus.nt", lines)
+    write_lines(out / "corpus_with_risks.nt", augmented_lines(doc, lines, risk_doc))
+    if "nt" in formats:
+        for name, at in activities:
+            write_lines(out / f"{name}.nt", map(lines.__getitem__, at))
+    del lines
+    if "ttl" in formats:
+        lines = turtle_lines(order, doc.prefixes)
+        header = turtle_header(doc.prefixes)
+        for name, at in activities:
+            write_lines(out / f"{name}.ttl", map(lines.__getitem__, at), header)
+
+
 def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
                  affordance_table=None, ground_truth=None,
                  log=lambda msg: None) -> dict:
@@ -147,8 +177,6 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
     cfg = replace(cfg, walk=replace(cfg.walk, seed=cfg.seed),
                   skipgram=replace(cfg.skipgram, seed=cfg.seed),
                   kmeans=replace(cfg.kmeans, seed=cfg.seed))
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if scripts is None:
         scripts = load_scripts_dir(cfg.scripts_dir)
     if env is None:
@@ -157,34 +185,37 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
     if affordance_table is None and cfg.affordance_file:
         from .home import filter_affordances, read_affordance_csv
         affordance_table = filter_affordances(read_affordance_csv(cfg.affordance_file))
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     log(f"simulating {len(scripts)} scripts")
     runs = simulate_corpus(scripts, env, cfg.duration, cfg.mode, cfg.sim,
                            affordance_table, cfg.scene_id)
-    manifest = {"activities": []}
 
     doc = KgDocument()
+    names, parts = [], []
+    kept = {}  # each triple's first object, which is the one doc keeps
     for trace, meta in runs:
         activity_doc = build_activity_kg(trace, meta, affordance_table)
         doc.update(activity_doc)
-        name = IriFactory.for_meta(meta).local
-        for fmt, render in FORMATS.items():
-            if fmt in cfg.formats:
-                path = out / f"{name}.{fmt}"
-                path.write_text(render(activity_doc), encoding="utf-8")
-                manifest["activities"].append(str(path))
+        names.append(IriFactory.for_meta(meta).local)
+        # An activity's copies of triples that an earlier one made are
+        # dropped with it, not held until its files are written.
+        triples = activity_doc.triples
+        parts.append(list(map(kept.setdefault, triples, triples)))
+    del kept
+    manifest = {"activities": [str(out / f"{name}.{fmt}") for name in names
+                               for fmt in FORMATS if fmt in cfg.formats]}
 
     log("writing corpus graph and stats")
-    corpus_nt = out / "corpus.nt"
-    corpus_nt.write_text(serialize_ntriples(doc), encoding="utf-8")
     (out / "stats.json").write_text(
         json.dumps(graph_stats(doc), indent=2, sort_keys=True) + "\n")
 
     log("detecting risks")
     findings, risk_doc = risk.detect_risks(doc)
     (out / "findings.json").write_text(risk.findings_to_json(findings))
-    (out / "corpus_with_risks.nt").write_text(
-        serialize_ntriples(augmented(doc, risk_doc)), encoding="utf-8")
+    _write_graphs(out, doc, risk_doc, names, parts, cfg.formats)
+    del parts
 
     report = analysis_report(doc)
     if ground_truth is None and cfg.ground_truth_file:
@@ -211,7 +242,7 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
 
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     manifest.update({
-        "corpus": str(corpus_nt),
+        "corpus": str(out / "corpus.nt"),
         "findings": str(out / "findings.json"),
         "report": str(out / "report.json"),
         "vectors": str(out / "vectors.tsv"),

@@ -4,7 +4,10 @@ Documents are insertion-ordered triple sets plus a prefix table, so every
 whole-graph pass visits triples in the order they were made, whatever the
 hash seed.  Serialization sorts triples by subject, predicate, object so
 identical documents always produce byte-identical output; the sort and the
-writers do their Python-level work per subject, not per triple.
+writers do their Python-level work per subject, not per triple.  Each
+writer is a line formatter over a sorted triple sequence plus its framing,
+so the lines of one sorted document also give, by position, the text of
+any part of it.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from __future__ import annotations
 import gc
 import math
 import re
-from bisect import insort
+from bisect import bisect
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import chain, islice
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -189,11 +193,34 @@ def augmented(doc: KgDocument, extra: KgDocument) -> KgDocument:
     """
     union = KgDocument(doc.prefixes, doc.triples | extra.triples)
     order = list(doc.sorted_triples())
-    for t in extra.triples:
-        if t not in doc.triples:
-            insort(order, t, key=Triple.sort_key)
+    for at, t in _insertions(doc, extra):
+        order.insert(at, t)
     union._view("sorted", lambda: tuple(order))
     return union
+
+
+def _insertions(doc: KgDocument, extra: KgDocument) -> list[tuple[int, Triple]]:
+    """``(position, triple)`` for each triple of ``extra`` that ``doc``
+    lacks, ascending: inserted in turn into ``doc.sorted_triples()``, they
+    give the union's sorted order."""
+    order = doc.sorted_triples()
+    new = sorted((t for t in extra.triples if t not in doc.triples),
+                 key=Triple.sort_key)
+    return [(bisect(order, t.sort_key(), key=Triple.sort_key) + rank, t)
+            for rank, t in enumerate(new)]
+
+
+def sorted_positions(doc: KgDocument, parts) -> list[list[int]]:
+    """For each part, an iterable of distinct triples of ``doc``, the
+    positions of its triples in ``doc.sorted_triples()``, ascending.
+
+    A part's sorted order is the whole's restricted to the part, so the
+    part's lines are the whole's lines at these positions: no part is
+    sorted or formatted on its own.
+    """
+    order = doc.sorted_triples()
+    position = dict(zip(order, range(len(order))))
+    return [sorted(map(position.__getitem__, part)) for part in parts]
 
 
 def _canonical_order(triples) -> tuple:
@@ -256,10 +283,11 @@ def _nt_literal(o: Literal) -> str:
     return f'"{_escape(o.lexical)}"^^<{o.datatype}>'
 
 
-def serialize_ntriples(doc: KgDocument) -> str:
+def ntriples_lines(triples) -> list[str]:
+    """One N-Triples line per triple, for ``triples`` in sorted order."""
     lines = []
     subject = None
-    for t in doc.sorted_triples():
+    for t in triples:
         if t.subject is not subject:  # a subject's text is made once per run
             subject = t.subject
             head = f"<{subject}> <"
@@ -268,9 +296,44 @@ def serialize_ntriples(doc: KgDocument) -> str:
             lines.append(f"{head}{t.predicate}> <{o}> .")
         else:
             lines.append(f"{head}{t.predicate}> {_nt_literal(o)} .")
-    if lines:
-        lines.append("")  # the final line break, without copying the text
+    return lines
+
+
+def augmented_lines(doc: KgDocument, lines: list, extra: KgDocument) -> list[str]:
+    """The N-Triples lines of ``augmented(doc, extra)``, given ``doc``'s
+    ``lines``: only the triples that ``extra`` adds are formatted."""
+    places = _insertions(doc, extra)
+    lines = list(lines)
+    for (at, _), line in zip(places, ntriples_lines([t for _, t in places])):
+        lines.insert(at, line)
+    return lines
+
+
+def _text(lines: list, header=()) -> str:
+    """The text of an RDF file: each line of ``header``, then of ``lines``,
+    followed by a line break.  ``lines`` is extended in place, so no copy
+    of it is made."""
+    lines[:0] = header
+    lines.append("")
     return "\n".join(lines)
+
+
+#: Lines per write in ``write_lines``.
+_CHUNK = 4096
+
+
+def write_lines(path, lines, header=()) -> None:
+    """Write ``_text(lines, header)`` to ``path`` as UTF-8, ``_CHUNK`` lines
+    at a time, so neither the whole text nor its bytes is ever held."""
+    lines = chain(header, lines)
+    with open(path, "w", encoding="utf-8") as f:
+        while chunk := list(islice(lines, _CHUNK)):
+            chunk.append("")
+            f.write("\n".join(chunk))
+
+
+def serialize_ntriples(doc: KgDocument) -> str:
+    return _text(ntriples_lines(doc.sorted_triples()))
 
 
 #: A Turtle local name: empty, or no leading "." or "-" and no trailing ".".
@@ -303,13 +366,20 @@ def _qnamer(prefixes: dict):
     return qname
 
 
-def serialize_turtle(doc: KgDocument) -> str:
-    qname = _qnamer(doc.prefixes)
+def turtle_header(prefixes: dict) -> list[str]:
+    """The lines that open a Turtle text: one ``@prefix`` per entry of
+    ``prefixes``, then a blank line."""
+    return [f"@prefix {prefix}: <{ns}> ." for prefix, ns in prefixes.items()] + [""]
+
+
+def turtle_lines(triples, prefixes: dict) -> list[str]:
+    """One Turtle line per triple, for ``triples`` in sorted order, with
+    IRIs abbreviated by one qname table built from ``prefixes``."""
+    qname = _qnamer(prefixes)
     predicates = {RDF + "type": "a"}
-    out = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in doc.prefixes.items()]
-    out.append("")
+    lines = []
     subject = None
-    for t in doc.sorted_triples():
+    for t in triples:
         if t.subject is not subject:  # a subject's text is made once per run
             subject = t.subject
             head = qname(subject)
@@ -323,9 +393,13 @@ def serialize_turtle(doc: KgDocument) -> str:
             o = f'"{_escape(o.lexical)}"'
         else:
             o = f'"{_escape(o.lexical)}"^^{qname(o.datatype)}'
-        out.append(f"{head} {p} {o} .")
-    out.append("")
-    return "\n".join(out)
+        lines.append(f"{head} {p} {o} .")
+    return lines
+
+
+def serialize_turtle(doc: KgDocument) -> str:
+    return _text(turtle_lines(doc.sorted_triples(), doc.prefixes),
+                 turtle_header(doc.prefixes))
 
 
 _LINES = re.compile(r".*\n?")  # a line and its break; the last match is empty

@@ -169,11 +169,17 @@ def test_malformed_environment_is_exit_1(capsys, caplog, tmp_path, case):
     edit(env)
     bad_env = tmp_path / "environment.json"
     bad_env.write_text(json.dumps(env), encoding="utf-8")
-    code = main(["build-kg", SCRIPT, str(bad_env), "--affordances", AFF])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (1, "")
-    assert "Traceback" not in captured.err
-    assert message in caplog.text
+    out = tmp_path / "out"
+    for argv in (["build-kg", SCRIPT, str(bad_env), "--affordances", AFF],
+                 ["pipeline", "--scripts", str(fixture_path("scripts")),
+                  "--environment", str(bad_env), "-o", str(out)]):
+        caplog.clear()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "Traceback" not in captured.err
+        assert message in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row", ["mug", "mug,grab,high"])

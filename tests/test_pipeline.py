@@ -1,19 +1,23 @@
 """Corpus-level guarantees of run_pipeline: distinct activities for
-duplicate script names, and one seed driving every stage."""
+duplicate script names, one seed driving every stage, and every RDF file
+written from one sorted corpus."""
 
 import json
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from vh2kg import rdf
 from vh2kg import schema as S
 from vh2kg.cli import main
 from vh2kg.fixtures import fixture_path
 from vh2kg.pipeline import PipelineConfig, run_pipeline, simulate_corpus
-from vh2kg.rdf import EX, KgDocument, KgIndex
+from vh2kg.rdf import (EX, KgDocument, KgIndex, augmented, serialize_ntriples,
+                       serialize_turtle)
 from vh2kg.risk import detect_risks
 from vh2kg.skipgram import SkipGramConfig
-from vh2kg.synth import build_activity_kg
+from vh2kg.synth import IriFactory, build_activity_kg
 from vh2kg.walks import WalkConfig
 
 # Small embedding stages keep each pipeline run around a second.
@@ -104,3 +108,38 @@ def test_config_section_keeps_the_pipeline_defaults(tmp_path):
     assert (cfg.skipgram.vector_size, cfg.skipgram.window) == (64, 5)
     # the section's own class default differs, so the value is the pipeline's
     assert SkipGramConfig().window != cfg.skipgram.window
+
+
+def test_one_sort_per_run_and_the_same_log(tmp_path, monkeypatch):
+    sorts, messages = [], []
+    real = rdf._canonical_order
+    monkeypatch.setattr(rdf, "_canonical_order",
+                        lambda triples: sorts.append(1) or real(triples))
+
+    def log(message):  # with the RDF files present when it is logged
+        messages.append((message, sorted(p.name for p in tmp_path.iterdir()
+                                         if p.suffix in (".nt", ".ttl"))))
+    run_pipeline(small_config(output_dir=str(tmp_path), **FILES), log=log)
+    assert len(sorts) == 1
+    assert [m for m, _ in messages] == [
+        "simulating 20 scripts", "writing corpus graph and stats",
+        "detecting risks", "extracting walks and training embeddings"]
+    rdf_files = sorted(p.name for p in tmp_path.iterdir()
+                       if p.suffix in (".nt", ".ttl"))
+    assert len(rdf_files) == 42 and messages[-1][1] == rdf_files
+
+
+@pytest.mark.parametrize("fmt, render", [("nt", serialize_ntriples),
+                                         ("ttl", serialize_turtle)])
+def test_one_format_writes_only_its_files(tmp_path, base_runs, base_doc,
+                                          affordance_table, fmt, render):
+    run_pipeline(small_config(output_dir=str(tmp_path), formats=(fmt,), **FILES))
+    expected = {"corpus.nt": serialize_ntriples(base_doc)}
+    for trace, meta in base_runs:
+        name = f"{IriFactory.for_meta(meta).local}.{fmt}"
+        expected[name] = render(build_activity_kg(trace, meta, affordance_table))
+    _, risk_doc = detect_risks(base_doc)
+    expected["corpus_with_risks.nt"] = serialize_ntriples(augmented(base_doc, risk_doc))
+    written = {p.name: p.read_bytes().decode("utf-8") for p in tmp_path.iterdir()
+               if p.suffix in (".nt", ".ttl")}
+    assert written == expected

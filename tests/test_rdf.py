@@ -4,7 +4,7 @@ round-trip oracle (deliberately not sharing code with the package parser)."""
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vh2kg import rdf
 from vh2kg import schema as S
@@ -490,6 +490,49 @@ def test_writers_match_per_triple_oracles(rows):
     parsed = parse_ntriples(nt)
     assert parsed.triples == doc.triples
     assert list(parsed.triples) == list(doc.sorted_triples())
+
+
+_MIXED = [(EX + "a", False, VH2KG + "p", EX + "b"),
+          (EX + "a", False, VH2KG + "p", Literal("b")),
+          (EX + "a", True, RDF + "type", VH2KG + "Activity")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TERM_ROWS, st.lists(st.lists(st.booleans(), min_size=40, max_size=40),
+                            min_size=1, max_size=4), _TERM_ROWS)
+@example(_MIXED, [[True, True, False] + [False] * 37, [False, True, True] + [True] * 37],
+         [(EX + "a", False, VH2KG + "p", Literal("a"))])
+def test_parts_select_their_lines_from_the_whole(tmp_path_factory, rows, masks,
+                                                 extra_rows):
+    """Each part of a document, written from the whole's lines at its
+    positions, has its own serializers' bytes; so has the whole plus a few
+    extra triples, written from the whole's lines plus theirs."""
+    whole, extra = term_doc(rows), term_doc(extra_rows)
+    triples = list(whole.triples)
+    parts = [KgDocument(triples=[t for t, keep in zip(triples, mask) if keep])
+             for mask in masks]  # overlapping subsets of the whole
+    order = whole.sorted_triples()
+    nt = rdf.ntriples_lines(order)
+    ttl = rdf.turtle_lines(order, whole.prefixes)
+    header = rdf.turtle_header(whole.prefixes)
+    path = tmp_path_factory.getbasetemp() / "selected"
+
+    def written(lines, header=()):
+        rdf.write_lines(path, lines, header)
+        return path.read_bytes().decode("utf-8")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rdf, "_CHUNK", 3)  # files span several chunks
+        positions = rdf.sorted_positions(whole, (part.triples for part in parts))
+        for part, at in zip(parts, positions):
+            assert written(map(nt.__getitem__, at)) == serialize_ntriples(part) \
+                == oracle_ntriples(part)
+            assert written(map(ttl.__getitem__, at), header) == serialize_turtle(part) \
+                == reference_turtle(part)
+        union = rdf.augmented(whole, extra)
+        assert written(rdf.augmented_lines(whole, nt, extra)) \
+            == serialize_ntriples(union) == oracle_ntriples(union)
+        assert written(nt) == serialize_ntriples(whole)  # nt left alone
 
 
 def test_turtle_reads_back(base_doc):
