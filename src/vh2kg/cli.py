@@ -22,8 +22,8 @@ from .cluster import KMeansConfig, clusters_csv, kmeans
 from .errors import VH2KGError
 from .home import filter_affordances, load_environment_file, read_affordance_csv
 from .pipeline import PipelineConfig, evaluate_findings, run_pipeline
-from .rdf import (augmented, graph_stats, parse_ntriples, serialize_ntriples,
-                  serialize_turtle)
+from .rdf import (augmented_lines, graph_stats, ntriples_lines, parse_ntriples,
+                  serialize_ntriples, serialize_turtle, write_lines)
 from .scripts import parse_script, serialize_script, validate_vocabulary
 from .simulate import DurationModel, check_executable, run_script, trace_to_json
 from .skipgram import (SkipGramConfig, cosine_neighbors, export_vectors,
@@ -126,8 +126,8 @@ def cmd_detect_risk(args):
     doc = _read_graph(args.graph)
     findings, risk_doc = risk.detect_risks(doc, tuple(args.rules))
     if args.augmented:
-        Path(args.augmented).write_text(
-            serialize_ntriples(augmented(doc, risk_doc)), encoding="utf-8")
+        write_lines(args.augmented, augmented_lines(
+            doc, ntriples_lines(doc.sorted_triples()), risk_doc))
     sys.stdout.write(risk.findings_to_json(findings))
     log.info("%d risk findings", len(findings))
     return 0

@@ -30,6 +30,9 @@ from .walks import WalkConfig, wl_relabel
 #: Per-activity file formats, in the order they are written.
 FORMATS = ("nt", "ttl")
 
+#: The config sections whose seed ``run_pipeline`` sets from the top-level one.
+SEEDED = ("walk", "skipgram", "kmeans")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -84,6 +87,9 @@ def _from_dict(default, raw, where: str):
             current = getattr(default, key)
             kind = type(current)
             if is_dataclass(kind):
+                if key in SEEDED and isinstance(value, dict) and "seed" in value:
+                    raise BadConfig(f"{where}: {key}: seed is not read here; "
+                                    "set the top-level seed")
                 value = _from_dict(current, value, f"{where}: {key}")
             elif kind in (tuple, frozenset):
                 if isinstance(value, str):
@@ -174,9 +180,8 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
                              (env, "environment_file", "--environment")):
         if given is None and not getattr(cfg, key):
             raise MissingSetting(f"{flag} (config key {key}) is not set")
-    cfg = replace(cfg, walk=replace(cfg.walk, seed=cfg.seed),
-                  skipgram=replace(cfg.skipgram, seed=cfg.seed),
-                  kmeans=replace(cfg.kmeans, seed=cfg.seed))
+    cfg = replace(cfg, **{key: replace(getattr(cfg, key), seed=cfg.seed)
+                          for key in SEEDED})
     if scripts is None:
         scripts = load_scripts_dir(cfg.scripts_dir)
     if env is None:

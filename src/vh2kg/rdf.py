@@ -184,21 +184,6 @@ class KgDocument:
         return self._view("sorted", lambda: _canonical_order(self.triples))
 
 
-def augmented(doc: KgDocument, extra: KgDocument) -> KgDocument:
-    """``doc`` plus the triples of ``extra``, under ``doc``'s prefixes.
-
-    The result's sorted view is ``doc``'s cached one with the new triples
-    inserted in ``Triple.sort_key`` order, so adding a few triples to a big
-    sorted graph does not sort it again.
-    """
-    union = KgDocument(doc.prefixes, doc.triples | extra.triples)
-    order = list(doc.sorted_triples())
-    for at, t in _insertions(doc, extra):
-        order.insert(at, t)
-    union._view("sorted", lambda: tuple(order))
-    return union
-
-
 def _insertions(doc: KgDocument, extra: KgDocument) -> list[tuple[int, Triple]]:
     """``(position, triple)`` for each triple of ``extra`` that ``doc``
     lacks, ascending: inserted in turn into ``doc.sorted_triples()``, they
@@ -300,8 +285,9 @@ def ntriples_lines(triples) -> list[str]:
 
 
 def augmented_lines(doc: KgDocument, lines: list, extra: KgDocument) -> list[str]:
-    """The N-Triples lines of ``augmented(doc, extra)``, given ``doc``'s
-    ``lines``: only the triples that ``extra`` adds are formatted."""
+    """The N-Triples lines of ``doc``'s triples plus ``extra``'s, given
+    ``doc``'s sorted ``lines``: only the triples that ``extra`` adds are
+    formatted, and nothing is sorted again."""
     places = _insertions(doc, extra)
     lines = list(lines)
     for (at, _), line in zip(places, ntriples_lines([t for _, t in places])):

@@ -247,7 +247,8 @@ def detect_risks(doc: KgDocument, rules=("R1", "R2")):
     """Evaluate rules over a KG; return ``(findings, risk_doc)``, where
     ``risk_doc`` has ``doc``'s prefixes and only the findings' riskFactor and
     rdf:type triples.  ``doc`` is left as it is; the augmented graph is
-    ``rdf.augmented(doc, risk_doc)``."""
+    the union of both, and ``rdf.augmented_lines`` writes it from ``doc``'s
+    N-Triples lines."""
     findings = eval_rules_kg(doc, rules)
     risk_doc = KgDocument(dict(doc.prefixes))
     for finding in findings:

@@ -177,10 +177,10 @@ def initial_state(env: EnvironmentGraph, cfg: SimConfig = SimConfig()) -> Simula
                            current_room_id=_agent_room(env, None))
 
 
-def _is_close(state: SimulationState, obj: ObjectNode, cfg: SimConfig) -> bool:
+def _is_close(state: SimulationState, obj: ObjectNode) -> bool:
     if obj.id in state.held_ids():
         return True
-    return state.graph.agent.bbox.distance_to(obj.bbox) <= cfg.close_threshold
+    return state.graph.agent.bbox.distance_to(obj.bbox) <= state.cfg.close_threshold
 
 
 def _resolve(state: SimulationState, ref: ObjectRef | None) -> ObjectNode:
@@ -194,10 +194,10 @@ def _resolve(state: SimulationState, ref: ObjectRef | None) -> ObjectNode:
 
 
 def _move_agent(env: EnvironmentGraph, held: set[int], target: BoundingBox,
-                cfg: SimConfig) -> tuple[EnvironmentGraph, float]:
-    """Move the agent toward the target center, stopping one interaction
-    offset short; held objects ride along.  Returns the horizontal distance
-    actually travelled."""
+                cfg: SimConfig) -> tuple[dict[int, ObjectNode], float]:
+    """The edits that move the agent toward the target center, stopping one
+    interaction offset short, with held objects riding along; and the
+    horizontal distance actually travelled."""
     agent = env.agent
     ax, ay, az = agent.bbox.center
     tx, _, tz = target.center
@@ -215,69 +215,64 @@ def _move_agent(env: EnvironmentGraph, held: set[int], target: BoundingBox,
         node = env.node(oid)
         moved[oid] = replace(node, bbox=BoundingBox(
             (nx + cfg.hold_offset, ay, nz), node.bbox.size))
-    return env.with_nodes(moved), travel
+    return moved, travel
 
 
-def _set_states(env, node, remove=(), add=()):
-    return env.with_nodes({node.id: replace(
-        node, states=(node.states - set(remove)) | set(add))})
-
-
-def _set_posture(state: SimulationState, posture: str) -> SimulationState:
-    agent = state.graph.agent
-    env = _set_states(state.graph, agent, remove=POSTURES, add=(posture,))
-    return replace(state, graph=env, posture=posture)
+def _swap_states(node: ObjectNode, remove, add) -> dict[int, ObjectNode]:
+    """The edit that replaces ``node``'s states ``remove`` with ``add``."""
+    return {node.id: replace(node, states=(node.states - set(remove)) | set(add))}
 
 
 def execute_step(state: SimulationState, step: Step, dm: DurationModel = DurationModel(),
-                 cfg: SimConfig = SimConfig(), affordance_table=None,
-                 step_index: int = 0,
+                 affordance_table=None, step_index: int = 0,
                  ) -> tuple[SimulationState, TransitionRecord]:
     """Apply one step; raises StepFailure when a precondition fails.
 
-    ``state`` comes from ``initial_state`` or an earlier step.  Its graph
-    keeps only the ON edges, which grab and putBack edit; the step sets the
-    agent's room, the FACING pair and the clock, and ``recompute_relations``
-    derives the other relations when they are read."""
+    ``state`` comes from ``initial_state`` or an earlier step, and its
+    ``cfg`` sets the distances.  Its graph keeps only the ON edges, which
+    grab and putBack edit; the step sets the agent's room, the FACING pair
+    and the clock, and ``recompute_relations`` derives the other relations
+    when they are read.  A verb's node edits are applied in one
+    ``with_nodes`` call, and ``changed_object_ids`` names the edited nodes
+    whose states or bbox differ from before the step."""
     verb = step.verb
-    pre = state
+    cfg, env = state.cfg, state.graph
     duration = dm.seconds_for(verb)
-    facing = None
+    edits = {}
+    edges, held, posture, facing = env.edges, state.held, state.posture, None
 
     def affords(node, v):
         return v in afforded_verbs(node, affordance_table)
 
     def require_close(node):
-        if not _is_close(state, node, cfg):
+        if not _is_close(state, node):
             raise StepFailure("NotClose", f"agent not close to {node.class_name}#{node.id}")
 
     if verb == "walk":
         target = _resolve(state, step.main_object)
-        env, travelled = _move_agent(state.graph, state.held_ids(), target.bbox, cfg)
+        edits, travelled = _move_agent(env, state.held_ids(), target.bbox, cfg)
         duration = max(travelled / cfg.walk_speed, cfg.min_walk_seconds)
-        state = replace(state, graph=env)
     elif verb == "find":
         target = _resolve(state, step.main_object)
-        room = _room_of_point(state.graph, target.bbox.center[0], target.bbox.center[2])
+        room = _room_of_point(env, target.bbox.center[0], target.bbox.center[2])
         if room is None or room.id != state.current_room_id:
             raise StepFailure("NotClose", f"{target.class_name}#{target.id} is in another room")
-        facing = (state.graph.agent.id, target.id)
+        facing = (env.agent.id, target.id)
     elif verb == "grab":
         target = _resolve(state, step.main_object)
         require_close(target)
         if not affords(target, "grab"):
             raise StepFailure("NoAffordance", f"{target.class_name} does not afford grab")
-        held = state.held_map
-        free = next((h for h in ("RH", "LH") if held[h] is None), None)
+        hands = state.held_map
+        free = next((h for h in ("RH", "LH") if hands[h] is None), None)
         if free is None:
             raise StepFailure("HandsFull", "both hands occupied")
-        held[free] = target.id
-        agent = state.graph.agent
-        ax, ay, az = agent.bbox.center
-        env = state.graph.with_nodes({target.id: replace(
-            target, bbox=BoundingBox((ax + cfg.hold_offset, ay, az), target.bbox.size))})
-        env = env.with_edges(e for e in env.edges if e.from_id != target.id)
-        state = replace(state, graph=env, held=tuple(sorted(held.items())))
+        hands[free] = target.id
+        held = tuple(sorted(hands.items()))
+        ax, ay, az = env.agent.bbox.center
+        edits[target.id] = replace(
+            target, bbox=BoundingBox((ax + cfg.hold_offset, ay, az), target.bbox.size))
+        edges = tuple(e for e in edges if e.from_id != target.id)
     elif verb in ("switchOn", "switchOff"):
         target = _resolve(state, step.main_object)
         require_close(target)
@@ -286,7 +281,7 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
         want_off, want_on = ("OFF", "ON") if verb == "switchOn" else ("ON", "OFF")
         if want_off not in target.states:
             raise StepFailure("WrongState", f"{target.class_name} is not {want_off}")
-        state = replace(state, graph=_set_states(state.graph, target, (want_off,), (want_on,)))
+        edits = _swap_states(target, (want_off,), (want_on,))
     elif verb in ("open", "close"):
         target = _resolve(state, step.main_object)
         require_close(target)
@@ -295,31 +290,33 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
         frm, to = ("CLOSED", "OPEN") if verb == "open" else ("OPEN", "CLOSED")
         if frm not in target.states:
             raise StepFailure("WrongState", f"{target.class_name} is not {frm}")
-        state = replace(state, graph=_set_states(state.graph, target, (frm,), (to,)))
+        edits = _swap_states(target, (frm,), (to,))
     elif verb in ("sit", "lie"):
         target = _resolve(state, step.main_object)
         require_close(target)
         if not affords(target, verb):
             raise StepFailure("NoAffordance", f"{target.class_name} does not afford {verb}")
-        state = _set_posture(state, "SITTING" if verb == "sit" else "LYING")
+        posture = "SITTING" if verb == "sit" else "LYING"
+        edits = _swap_states(env.agent, POSTURES, (posture,))
     elif verb == "standUp":
         if state.posture == "STANDING":
             raise StepFailure("WrongState", "agent is already standing")
-        state = _set_posture(state, "STANDING")
+        posture = "STANDING"
+        edits = _swap_states(env.agent, POSTURES, (posture,))
     elif verb == "putBack":
         main = _resolve(state, step.main_object)
         target = _resolve(state, step.target_object)
-        held = state.held_map
-        hand = next((h for h, oid in held.items() if oid == main.id), None)
+        hands = state.held_map
+        hand = next((h for h, oid in hands.items() if oid == main.id), None)
         if hand is None:
             raise StepFailure("NotHolding", f"agent is not holding {main.class_name}#{main.id}")
         require_close(target)
-        held[hand] = None
+        hands[hand] = None
+        held = tuple(sorted(hands.items()))
         tx, _, tz = target.bbox.center
-        new_bb = BoundingBox((tx, target.bbox.top + main.bbox.size[1] / 2, tz), main.bbox.size)
-        env = state.graph.with_nodes({main.id: replace(main, bbox=new_bb)})
-        env = env.with_edges(list(env.edges) + [RelationEdge(main.id, "ON", target.id)])
-        state = replace(state, graph=env, held=tuple(sorted(held.items())))
+        edits[main.id] = replace(main, bbox=BoundingBox(
+            (tx, target.bbox.top + main.bbox.size[1] / 2, tz), main.bbox.size))
+        edges = (*edges, RelationEdge(main.id, "ON", target.id))
     elif verb in ("drink", "pour", "read"):
         main = _resolve(state, step.main_object)
         if main.id not in state.held_ids():
@@ -329,32 +326,27 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
     elif verb in ("lookAt", "turnTo"):
         target = _resolve(state, step.main_object)
         require_close(target)
-        facing = (state.graph.agent.id, target.id)
+        facing = (env.agent.id, target.id)
     else:
         raise StepFailure("UnknownVerb", verb)
 
-    state = replace(state, cfg=cfg, facing=facing,
-                    clock_seconds=pre.clock_seconds + duration,
-                    current_room_id=_agent_room(state.graph, pre.current_room_id))
+    changed = frozenset(i for i, new in edits.items()
+                        if (old := env.node(i)).states != new.states or old.bbox != new.bbox)
+    graph = env.with_nodes(edits) if edits else env
+    if edges is not env.edges:
+        graph = graph.with_edges(edges)
+    after = replace(state, graph=graph, held=held, posture=posture, facing=facing,
+                    clock_seconds=state.clock_seconds + duration,
+                    current_room_id=_agent_room(graph, state.current_room_id))
     record = TransitionRecord(
         step_index=step_index,
         step=step,
         duration_seconds=duration,
-        changed_object_ids=frozenset(diff_changed_ids(pre.graph, state.graph)),
-        start_room_id=pre.current_room_id,
-        end_room_id=state.current_room_id,
+        changed_object_ids=changed,
+        start_room_id=state.current_room_id,
+        end_room_id=after.current_room_id,
     )
-    return state, record
-
-
-def diff_changed_ids(before: EnvironmentGraph, after: EnvironmentGraph) -> set[int]:
-    """Ids of objects whose state tokens or bbox differ.
-
-    ``after`` comes from ``before`` by ``with_nodes``, which keeps node
-    order, so the two node tuples zip.  No step edits a class name or
-    properties, so an object's afforded verbs never change."""
-    return {a.id for a, b in zip(before.nodes, after.nodes)
-            if a is not b and (a.states != b.states or a.bbox != b.bbox)}
+    return after, record
 
 
 def run_script(script: ActivityScript, env: EnvironmentGraph,
@@ -377,7 +369,7 @@ def run_script(script: ActivityScript, env: EnvironmentGraph,
         for idx, step in enumerate(current.steps):
             try:
                 state, record = execute_step(
-                    situations[-1], step, dm, cfg, affordance_table, step_index=idx)
+                    situations[-1], step, dm, affordance_table, step_index=idx)
             except StepFailure as exc:
                 failure = (idx, step, exc)
                 break

@@ -10,7 +10,8 @@ import pytest
 from vh2kg.cli import main
 from vh2kg.errors import MalformedVectors
 from vh2kg.fixtures import fixture_path
-from vh2kg.rdf import EX
+from vh2kg.rdf import EX, KgDocument, parse_ntriples, serialize_ntriples
+from vh2kg.risk import detect_risks
 from vh2kg.skipgram import EmbeddingModel, export_vectors, parse_vectors
 from vh2kg.walks import _unescape_token
 
@@ -63,13 +64,18 @@ def test_build_detect_evaluate_chain(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["triples"] > 500
 
-    code, out = run(capsys, "detect-risk", str(graph))
+    augmented = tmp_path / "with_risks.nt"
+    code, out = run(capsys, "detect-risk", str(graph), "--augmented", str(augmented))
     assert code == 0
     findings = tmp_path / "f.json"
     findings.write_text(out)
     parsed = json.loads(out)
     assert len(parsed) == 1
     assert parsed[0]["rule"] == "R2"
+    doc = parse_ntriples(graph.read_text())
+    _, risk_doc = detect_risks(doc)
+    assert augmented.read_text() == serialize_ntriples(
+        KgDocument(doc.prefixes, doc.triples | risk_doc.triples))
 
     gt = tmp_path / "gt.csv"
     gt.write_text("event_iri,risk_type\n"
@@ -206,6 +212,7 @@ def test_pipeline_names_the_unset_flag(capsys, caplog, tmp_path, flags, unset):
     ('{"walk": {"depht": 3}}', "walk: unknown key(s) depht"),
     ('{"seeed": 3}', "unknown key(s) seeed"),
     ('{"walk": {"depth": 0}}', "walk: depth must be >= 1"),
+    ('{"walk": {"seed": 5}}', "walk: seed is not read here; set the top-level seed"),
     ('{"formats": 3}', "not iterable"),
     ('{"formats": "nt"}', "formats must be a list, not a string"),
     ('{"formats": ["nt", "xml"]}', "unknown format(s) 'xml'; choose from nt, ttl"),

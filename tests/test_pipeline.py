@@ -13,7 +13,7 @@ from vh2kg import schema as S
 from vh2kg.cli import main
 from vh2kg.fixtures import fixture_path
 from vh2kg.pipeline import PipelineConfig, run_pipeline, simulate_corpus
-from vh2kg.rdf import (EX, KgDocument, KgIndex, augmented, serialize_ntriples,
+from vh2kg.rdf import (EX, KgDocument, KgIndex, serialize_ntriples,
                        serialize_turtle)
 from vh2kg.risk import detect_risks
 from vh2kg.skipgram import SkipGramConfig
@@ -139,7 +139,8 @@ def test_one_format_writes_only_its_files(tmp_path, base_runs, base_doc,
         name = f"{IriFactory.for_meta(meta).local}.{fmt}"
         expected[name] = render(build_activity_kg(trace, meta, affordance_table))
     _, risk_doc = detect_risks(base_doc)
-    expected["corpus_with_risks.nt"] = serialize_ntriples(augmented(base_doc, risk_doc))
+    expected["corpus_with_risks.nt"] = serialize_ntriples(
+        KgDocument(base_doc.prefixes, base_doc.triples | risk_doc.triples))
     written = {p.name: p.read_bytes().decode("utf-8") for p in tmp_path.iterdir()
                if p.suffix in (".nt", ".ttl")}
     assert written == expected

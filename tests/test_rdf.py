@@ -455,12 +455,11 @@ def test_canonical_order_sorts_mixed_objects_by_key():
 def test_augmented_inserts_into_the_cached_order(rows, extra_rows):
     # extra_rows overlap rows often, so some "new" triples are already in doc
     doc, extra = term_doc(rows), term_doc(extra_rows)
-    union = rdf.augmented(doc, extra)
-    assert union.triples == doc.triples | extra.triples
-    assert list(union.triples) == list(doc.triples | extra.triples)
-    assert union.prefixes == doc.prefixes
-    assert list(union.sorted_triples()) == oracle_sorted(union)
-    assert serialize_ntriples(union) == oracle_ntriples(union)
+    union = KgDocument(doc.prefixes, doc.triples | extra.triples)
+    lines = rdf.ntriples_lines(doc.sorted_triples())
+    written = rdf._text(rdf.augmented_lines(doc, lines, extra))
+    assert written == serialize_ntriples(union) == oracle_ntriples(union)
+    assert lines == rdf.ntriples_lines(oracle_sorted(doc))  # lines left alone
     assert len(doc.triples) == len(term_doc(rows).triples)  # doc left alone
 
 
@@ -469,12 +468,12 @@ def test_augmented_corpus_sorts_once(base_doc, monkeypatch):
     _, risk_doc = detect_risks(doc)
     expected = serialize_ntriples(KgDocument(doc.prefixes,
                                              doc.triples | risk_doc.triples))
-    doc.sorted_triples()
+    lines = rdf.ntriples_lines(doc.sorted_triples())
     sorts = []
     real = rdf._canonical_order
     monkeypatch.setattr(rdf, "_canonical_order",
                         lambda triples: sorts.append(1) or real(triples))
-    assert serialize_ntriples(rdf.augmented(doc, risk_doc)) == expected
+    assert rdf._text(rdf.augmented_lines(doc, lines, risk_doc)) == expected
     assert sorts == []
 
 
@@ -529,7 +528,7 @@ def test_parts_select_their_lines_from_the_whole(tmp_path_factory, rows, masks,
                 == oracle_ntriples(part)
             assert written(map(ttl.__getitem__, at), header) == serialize_turtle(part) \
                 == reference_turtle(part)
-        union = rdf.augmented(whole, extra)
+        union = KgDocument(whole.prefixes, whole.triples | extra.triples)
         assert written(rdf.augmented_lines(whole, nt, extra)) \
             == serialize_ntriples(union) == oracle_ntriples(union)
         assert written(nt) == serialize_ntriples(whole)  # nt left alone

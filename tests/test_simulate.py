@@ -1,4 +1,6 @@
+import json
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from vh2kg import simulate
 from vh2kg.errors import Unexecutable
-from vh2kg.fixtures import load_fixture_environment
+from vh2kg.fixtures import fixture_path, load_fixture_environment
 from vh2kg.home import RelationEdge, load_environment
 from vh2kg.scripts import ActivityScript, ObjectRef, Step
 from vh2kg.simulate import (DurationModel, SimConfig, StepFailure,
@@ -327,7 +329,7 @@ def test_relations_match_all_pairs(scene):
             try:
                 after = state
                 for planned in plan:
-                    after, _ = execute_step(after, planned, cfg=cfg)
+                    after, _ = execute_step(after, planned)
             except StepFailure:
                 continue
             state = after
@@ -337,12 +339,14 @@ def test_relations_match_all_pairs(scene):
     trace = run_script(script, env, cfg=cfg)
     assert trace.situations[-1] == state
     assert_matches_all_pairs(trace, cfg)
+    assert_changes_match_diff(trace)
     walkless = replace(script, steps=[s for s in kept if s.verb != "walk"])
     try:
         trace = run_script(walkless, env, mode="repair", cfg=cfg)
     except Unexecutable:
         return
     assert_matches_all_pairs(trace, cfg)
+    assert_changes_match_diff(trace)
 
 
 def test_run_script_shares_initial_state(scripts, affordance_table):
@@ -380,15 +384,98 @@ def test_simulation_derives_no_relations(monkeypatch, scripts, affordance_table)
     assert len(calls) == len(trace.situations)
 
 
+# --- recorded changes against the scene-diff oracle -----------------------
+
+def diff_changed_ids(before, after) -> set[int]:
+    """Ids of objects whose state tokens or bbox differ.
+
+    ``after`` comes from ``before`` by ``with_nodes``, which keeps node
+    order, so the two node tuples zip.  No step edits a class name or
+    properties, so an object's afforded verbs never change."""
+    return {a.id for a, b in zip(before.nodes, after.nodes)
+            if a is not b and (a.states != b.states or a.bbox != b.bbox)}
+
+
+def assert_changes_match_diff(trace):
+    """Each step's ``changed_object_ids`` is what diffing its two graphs finds."""
+    for before, after, record in zip(trace.situations, trace.situations[1:],
+                                     trace.transitions):
+        assert record.changed_object_ids == diff_changed_ids(before.graph, after.graph)
+
+
 def test_diff_changed_ids_ignores_equal_replacements():
     env = load_fixture_environment()
     node = next(n for n in env.nodes if not n.is_room and not n.is_agent)
     twin = env.with_nodes({node.id: replace(node)})  # equal, distinct
     assert twin.node(node.id) == node and twin.node(node.id) is not node
-    assert simulate.diff_changed_ids(env, twin) == set()
+    assert diff_changed_ids(env, twin) == set()
     flipped = twin.with_nodes({node.id: replace(node, states=node.states ^ {"OPEN"})})
-    assert simulate.diff_changed_ids(twin, flipped) == {node.id}
+    assert diff_changed_ids(twin, flipped) == {node.id}
     x, y, z = node.bbox.center
     moved = twin.with_nodes({node.id: replace(
         node, bbox=replace(node.bbox, center=(x + 0.25, y, z)))})
-    assert simulate.diff_changed_ids(twin, moved) == {node.id}
+    assert diff_changed_ids(twin, moved) == {node.id}
+
+
+def test_zero_travel_walk_reports_nothing():
+    # The grab moves the mug to the agent's hand; the walk back to it is
+    # within the interaction offset, so agent and mug get equal bboxes.
+    env = build_env([mug_at(1.0, 0.0)], [inside(3)])
+    trace = run_script(script_of(Step("grab", ObjectRef("mug", 3)),
+                                 Step("walk", ObjectRef("mug", 3))), env)
+    assert [t.changed_object_ids for t in trace.transitions] == [{3}, set()]
+    assert trace.situations[2].graph is not trace.situations[1].graph
+    assert trace.situations[2].graph.nodes == trace.situations[1].graph.nodes
+    assert_changes_match_diff(trace)
+
+
+def clutter_environment(seed, objects=400):
+    """The fixture environment plus ``objects`` small clutter objects spread
+    evenly over the rooms, standing on the floor at seeded positions with
+    seeded sizes, classes and states."""
+    document = json.loads(fixture_path("environment.json").read_text(encoding="utf-8"))
+    rooms = [n for n in document["nodes"] if n.get("is_room")]
+    rng = random.Random(seed)
+    for i in range(objects):
+        room = rooms[i % len(rooms)]
+        (cx, _, cz), (sx, _, sz) = (room["bounding_box"]["center"],
+                                    room["bounding_box"]["size"])
+        size = [round(rng.uniform(0.05, 0.3), 3) for _ in range(3)]
+        center = [round(rng.uniform(cx - sx / 2 + 0.3, cx + sx / 2 - 0.3), 3),
+                  size[1] / 2,
+                  round(rng.uniform(cz - sz / 2 + 0.3, cz + sz / 2 - 0.3), 3)]
+        document["nodes"].append({
+            "id": 1000 + i, "class_name": rng.choice(("coin", "pen", "candle")),
+            "states": rng.choice(([], ["CLEAN"], ["OFF"])), "properties": ["MOVABLE"],
+            "bounding_box": {"center": center, "size": size}})
+        document["edges"].append({"from_id": 1000 + i, "relation_type": "INSIDE",
+                                  "to_id": room["id"]})
+    return load_environment(document)
+
+
+DIFF_SCENES = {
+    "fixture": load_fixture_environment,
+    "false-positive": lambda: load_fixture_environment(false_positive_geometry=True),
+    "clutter-1": lambda: clutter_environment(1),
+    "clutter-2": lambda: clutter_environment(2),
+}
+
+
+@pytest.mark.parametrize("scene", DIFF_SCENES)
+def test_changed_ids_match_diff_on_every_step(scene, scripts, affordance_table):
+    """Every fixture script, strict and with its walks dropped in repair
+    mode: the simulator's recorded changes equal the diff of the graphs."""
+    env = DIFF_SCENES[scene]()
+    steps = changed = 0
+    for script in scripts:
+        walkless = replace(script, steps=[s for s in script.steps if s.verb != "walk"])
+        for mode, run in (("strict", script), ("repair", walkless)):
+            try:
+                trace = run_script(run, env, mode=mode, affordance_table=affordance_table)
+            except Unexecutable:
+                assert mode == "repair"
+                continue
+            assert_changes_match_diff(trace)
+            steps += len(trace.transitions)
+            changed += sum(map(len, (t.changed_object_ids for t in trace.transitions)))
+    assert steps > 150 and changed > steps / 2  # ~170 steps per scene
