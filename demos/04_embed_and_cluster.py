@@ -7,21 +7,19 @@ from vh2kg.cluster import KMeansConfig, kmeans
 from vh2kg.fixtures import (load_fixture_affordance_table,
                             load_fixture_environment,
                             load_fixture_scripts)
+from vh2kg.pipeline import simulate_corpus
 from vh2kg.rdf import KgDocument
-from vh2kg.simulate import run_script
 from vh2kg.skipgram import SkipGramConfig, cosine_neighbors, train_skipgram
-from vh2kg.synth import ActivityMeta, build_activity_kg
+from vh2kg.synth import build_activity_kg
 from vh2kg.walks import WalkConfig, activity_roots, wl_relabel
 
 env = load_fixture_environment()
 affordances = load_fixture_affordance_table()
 
 doc = KgDocument()
-for script in load_fixture_scripts():
-    trace = run_script(script, env, affordance_table=affordances)
-    build_activity_kg(trace,
-                      ActivityMeta(name=script.name, category=script.category),
-                      affordances, doc=doc)
+for trace, meta in simulate_corpus(load_fixture_scripts(), env,
+                                   affordance_table=affordances):
+    doc.update(build_activity_kg(trace, meta, affordances))
 
 corpus = wl_relabel(doc, WalkConfig(depth=4, walks_per_entity=50,
                                     wl_iterations=0, seed=0))

@@ -5,20 +5,17 @@ from vh2kg import analytics
 from vh2kg.fixtures import (load_fixture_affordance_table,
                             load_fixture_environment,
                             load_fixture_scripts)
+from vh2kg.pipeline import simulate_corpus
 from vh2kg.rdf import KgDocument, graph_stats
-from vh2kg.simulate import run_script
-from vh2kg.synth import ActivityMeta, build_activity_kg
+from vh2kg.synth import build_activity_kg
 
 env = load_fixture_environment()
 affordances = load_fixture_affordance_table()
 
 doc = KgDocument()
-for script in load_fixture_scripts():
-    trace = run_script(script, env, affordance_table=affordances)
-    build_activity_kg(trace,
-                      ActivityMeta(name=script.name, category=script.category,
-                                   description=script.description),
-                      affordances, doc=doc)
+for trace, meta in simulate_corpus(load_fixture_scripts(), env,
+                                   affordance_table=affordances):
+    doc.update(build_activity_kg(trace, meta, affordances))
 
 print("corpus:", graph_stats(doc))
 

@@ -24,7 +24,7 @@ from .home import filter_affordances, load_environment_file, read_affordance_csv
 from .pipeline import PipelineConfig, evaluate_findings, run_pipeline
 from .rdf import (augmented_lines, graph_stats, ntriples_lines, parse_ntriples,
                   serialize_ntriples, serialize_turtle, write_lines)
-from .scripts import parse_script, serialize_script, validate_vocabulary
+from .scripts import CATEGORIES, parse_script, serialize_script, validate_vocabulary
 from .simulate import DurationModel, check_executable, run_script, trace_to_json
 from .skipgram import (SkipGramConfig, cosine_neighbors, export_vectors,
                        parse_vectors, train_skipgram)
@@ -152,24 +152,22 @@ def cmd_explain(args):
 
 
 def cmd_walks(args):
-    doc = _read_graph(args.graph)
     cfg = WalkConfig(depth=args.depth, walks_per_entity=args.walks,
                      wl_iterations=args.wl, seed=args.seed,
                      exhaustive=args.exhaustive)
-    corpus = wl_relabel(doc, cfg)
+    corpus = wl_relabel(_read_graph(args.graph), cfg)
     sys.stdout.write(corpus.as_lines())
     log.info("%d walks", len(corpus.sequences))
     return 0
 
 
 def cmd_embed(args):
-    doc = _read_graph(args.graph)
     wcfg = WalkConfig(depth=args.depth, walks_per_entity=args.walks,
                       wl_iterations=args.wl, seed=args.seed)
-    corpus = wl_relabel(doc, wcfg)
     scfg = SkipGramConfig(vector_size=args.dims, window=args.window,
                           epochs=args.epochs, seed=args.seed,
                           negative_samples=args.negative)
+    corpus = wl_relabel(_read_graph(args.graph), wcfg)
     model, losses = train_skipgram(corpus, scfg)
     sys.stdout.write(export_vectors(model))
     log.info("epoch losses: %s", ", ".join(f"{x:.4f}" for x in losses))
@@ -186,13 +184,13 @@ def cmd_neighbors(args):
 
 
 def cmd_cluster(args):
+    cfg = KMeansConfig(k=args.k, seed=args.seed)
     tokens, matrix = parse_vectors(Path(args.vectors).read_text(encoding="utf-8"))
     if args.roots:
         roots = set(activity_roots(_read_graph(args.roots)))
         keep = [i for i, t in enumerate(tokens) if t in roots]
         tokens = [tokens[i] for i in keep]
         matrix = matrix[keep]
-    cfg = KMeansConfig(k=args.k, seed=args.seed)
     assignments, _, inertia = kmeans(matrix, cfg)
     sys.stdout.write(clusters_csv(tokens, assignments))
     log.info("inertia %.6f", inertia)
@@ -261,7 +259,7 @@ def _add_script_args(p, environment=True):
                        help="mean-score cutoff for affordance rows")
         p.add_argument("--repair", action="store_true",
                        help="insert walk steps to fix NotClose failures")
-    p.add_argument("--category", default="Other")
+    p.add_argument("--category", default="Other", choices=CATEGORIES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,26 +309,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true", help="emit Graphviz instead of text")
     p.set_defaults(func=cmd_explain)
 
+    # flag defaults are the config classes' own, which the pipeline uses
+    walk, skipgram, kmeans = WalkConfig(), SkipGramConfig(), KMeansConfig()
+
+    def add_walk_args(p):
+        p.add_argument("graph")
+        p.add_argument("--depth", type=int, default=walk.depth)
+        p.add_argument("--walks", type=int, default=walk.walks_per_entity)
+        p.add_argument("--wl", type=int, default=walk.wl_iterations,
+                       help="structural relabeling iterations")
+        p.add_argument("--seed", type=int, default=walk.seed)
+
     p = sub.add_parser("walks", help="extract random walks from a graph")
-    p.add_argument("graph")
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--walks", type=int, default=25)
-    p.add_argument("--wl", type=int, default=0,
-                   help="structural relabeling iterations")
-    p.add_argument("--seed", type=int, default=0)
+    add_walk_args(p)
     p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(func=cmd_walks)
 
     p = sub.add_parser("embed", help="walks plus skip-gram, emit vectors TSV")
-    p.add_argument("graph")
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--walks", type=int, default=25)
-    p.add_argument("--wl", type=int, default=0)
-    p.add_argument("--dims", type=int, default=64)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--negative", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    add_walk_args(p)
+    p.add_argument("--dims", type=int, default=skipgram.vector_size)
+    p.add_argument("--window", type=int, default=skipgram.window)
+    p.add_argument("--epochs", type=int, default=skipgram.epochs)
+    p.add_argument("--negative", type=int, default=skipgram.negative_samples)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("neighbors", help="nearest tokens by cosine similarity")
@@ -341,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="k-means over embedding vectors")
     p.add_argument("vectors")
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-k", type=int, default=kmeans.k)
+    p.add_argument("--seed", type=int, default=kmeans.seed)
     p.add_argument("--roots", metavar="GRAPH",
                    help="cluster only the activity roots of this N-Triples graph")
     p.set_defaults(func=cmd_cluster)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewPoints
+from .errors import BadConfig, TooFewPoints
 
 
 @dataclass(frozen=True)
@@ -17,7 +17,9 @@ class KMeansConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise BadConfig("k must be >= 1")
+        if self.max_iters < 1:
+            raise BadConfig("max_iters must be >= 1")
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -95,9 +95,9 @@ class MissingSetting(VH2KGError):
     """A pipeline input that is neither passed in nor named by the config."""
 
 
-class BadConfig(VH2KGError):
-    """A pipeline config file that is not JSON, names an unknown key, or
-    holds a value its section rejects."""
+class BadConfig(VH2KGError, ValueError):
+    """A setting out of its range, or a pipeline config file that is not
+    JSON, names an unknown key, or holds a value its section rejects."""
 
 
 # --- embeddings / clustering ---

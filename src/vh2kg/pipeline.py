@@ -9,19 +9,19 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import analytics, risk
 from .cluster import KMeansConfig, clusters_csv, kmeans
 from .errors import BadConfig, MissingSetting
-from .home import EnvironmentGraph
+from .home import EnvironmentGraph, check_name
 from .rdf import (KgDocument, augmented_lines, graph_stats, ntriples_lines,
                   sorted_positions, turtle_header, turtle_lines, write_lines)
 # Not called here; the benchmark's tracer wraps these names.
 from .rdf import serialize_ntriples, serialize_turtle  # noqa: F401
 from .scripts import ActivityScript
-from .simulate import DurationModel, SimConfig, Trace, run_script
+from .simulate import MODES, DurationModel, SimConfig, Trace, run_script
 from .skipgram import SkipGramConfig, export_vectors, train_skipgram
 from .synth import ActivityMeta, IriFactory, build_activity_kg, snake_case
 from .walks import WalkConfig, wl_relabel
@@ -47,17 +47,18 @@ class PipelineConfig:
     formats: tuple = FORMATS
     sim: SimConfig = SimConfig()
     duration: DurationModel = DurationModel()
-    walk: WalkConfig = field(default_factory=lambda: WalkConfig(
-        depth=4, walks_per_entity=25, wl_iterations=0))
-    skipgram: SkipGramConfig = field(default_factory=lambda: SkipGramConfig(
-        vector_size=64, window=5, epochs=5))
+    walk: WalkConfig = WalkConfig()
+    skipgram: SkipGramConfig = SkipGramConfig()
     kmeans: KMeansConfig = KMeansConfig()
 
     def __post_init__(self):
         unknown = [fmt for fmt in self.formats if fmt not in FORMATS]
         if unknown:
-            raise ValueError(f"unknown format(s) {', '.join(map(repr, unknown))}; "
-                             f"choose from {', '.join(FORMATS)}")
+            raise BadConfig(f"unknown format(s) {', '.join(map(repr, unknown))}; "
+                            f"choose from {', '.join(FORMATS)}")
+        if self.mode not in MODES:
+            raise BadConfig(f"unknown mode {self.mode!r}; choose from {', '.join(MODES)}")
+        check_name("scene id", self.scene_id)
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -75,7 +76,8 @@ def _from_dict(default, raw, where: str):
     """The dataclass instance ``default`` with the keys of the JSON object
     ``raw`` applied.  Each value is read as the type of the default it
     replaces: a nested object is applied to that section's default, a list
-    becomes a tuple or frozenset."""
+    becomes a tuple or frozenset.  An error names its place: ``where``, then
+    the section keys down to the bad value."""
     if not isinstance(raw, dict):
         raise BadConfig(f"{where}: expected a JSON object")
     unknown = sorted(raw.keys() - {f.name for f in fields(default)})
@@ -88,13 +90,15 @@ def _from_dict(default, raw, where: str):
             kind = type(current)
             if is_dataclass(kind):
                 if key in SEEDED and isinstance(value, dict) and "seed" in value:
-                    raise BadConfig(f"{where}: {key}: seed is not read here; "
+                    raise BadConfig(f"{key}: seed is not read here; "
                                     "set the top-level seed")
-                value = _from_dict(current, value, f"{where}: {key}")
+                value = _from_dict(current, value, key)
             elif kind in (tuple, frozenset):
                 if isinstance(value, str):
                     raise ValueError(f"{key} must be a list, not a string")
                 value = kind(value)
+            elif kind is dict and not isinstance(value, dict):
+                raise ValueError(f"{key} must be a JSON object")
             values[key] = value
         return replace(default, **values)
     except (TypeError, ValueError) as exc:
@@ -199,16 +203,11 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
 
     doc = KgDocument()
     names, parts = [], []
-    kept = {}  # each triple's first object, which is the one doc keeps
     for trace, meta in runs:
         activity_doc = build_activity_kg(trace, meta, affordance_table)
         doc.update(activity_doc)
         names.append(IriFactory.for_meta(meta).local)
-        # An activity's copies of triples that an earlier one made are
-        # dropped with it, not held until its files are written.
-        triples = activity_doc.triples
-        parts.append(list(map(kept.setdefault, triples, triples)))
-    del kept
+        parts.append(list(activity_doc.triples))
     manifest = {"activities": [str(out / f"{name}.{fmt}") for name in names
                                for fmt in FORMATS if fmt in cfg.formats]}
 

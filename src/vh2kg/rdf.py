@@ -2,12 +2,14 @@
 
 Documents are insertion-ordered triple sets plus a prefix table, so every
 whole-graph pass visits triples in the order they were made, whatever the
-hash seed.  Serialization sorts triples by subject, predicate, object so
-identical documents always produce byte-identical output; the sort and the
-writers do their Python-level work per subject, not per triple.  Each
-writer is a line formatter over a sorted triple sequence plus its framing,
-so the lines of one sorted document also give, by position, the text of
-any part of it.
+hash seed.  A corpus is its activity documents merged with ``update``; a
+triple that several of them hold is kept once, as the first one's object.
+Serialization sorts triples by subject, predicate, object so identical
+documents always produce byte-identical output; the sort and the writers
+do their Python-level work per subject, not per triple.  Each writer is a
+line formatter over a sorted triple sequence plus its framing, so the
+lines of one sorted document also give, by position, the text of any
+part of it.
 """
 
 from __future__ import annotations
@@ -137,9 +139,9 @@ class KgDocument:
     constructor also takes any iterable of triples.
 
     ``index()``, ``sorted_triples()`` and ``graph_stats(doc)`` are views
-    cached on the document.  ``add``, ``add_all`` and ``update`` drop them;
-    a direct edit of ``triples`` is seen only when it replaces the dict or
-    changes its size, so mutate through those three.
+    cached on the document.  ``add`` and ``update`` drop them; a direct
+    edit of ``triples`` is seen only when it replaces the dict or changes
+    its size, so mutate through those two.
     """
     prefixes: dict = field(default_factory=lambda: dict(PREFIXES))
     triples: dict = field(default_factory=dict)
@@ -154,11 +156,6 @@ class KgDocument:
         self.triples[Triple(s, p, o)] = None
         if self._views:
             self._views.clear()
-
-    def add_all(self, triples) -> None:
-        """Add many ``Triple``s, in order, with one dict merge."""
-        self.triples |= dict.fromkeys(triples)
-        self._views.clear()
 
     def update(self, other: "KgDocument") -> None:
         self.triples |= other.triples

@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import Unexecutable
+from .errors import BadConfig, Unexecutable
 from .home import (BoundingBox, EnvironmentGraph, ObjectNode, RelationEdge,
                    afforded_verbs, dump_environment)
 from .scripts import ActivityScript, ObjectRef, Step, insert_step
 
 POSTURES = ("STANDING", "SITTING", "LYING")
+
+MODES = ("strict", "repair")
 
 REASONS = ("NotClose", "NoAffordance", "WrongState", "ObjectAbsent",
            "HandsFull", "NotHolding", "UnknownVerb")
@@ -30,17 +32,25 @@ class SimConfig:
     hold_offset: float = 0.3
     min_walk_seconds: float = 0.1  # durations must stay strictly positive
 
+    def __post_init__(self):
+        if not self.walk_speed > 0:  # walk durations divide by it
+            raise BadConfig("walk_speed must be > 0")
+
 
 @dataclass(frozen=True)
 class DurationModel:
     per_verb_seconds: dict = field(default_factory=dict)
     default_seconds: float = 2.0
 
+    def __post_init__(self):
+        if not self.default_seconds > 0:
+            raise BadConfig("default_seconds must be > 0")
+        for verb, value in self.per_verb_seconds.items():
+            if not value > 0:
+                raise BadConfig(f"per_verb_seconds: {verb} must be > 0")
+
     def seconds_for(self, verb: str) -> float:
-        value = self.per_verb_seconds.get(verb, self.default_seconds)
-        if value <= 0:
-            raise ValueError(f"duration for {verb} must be positive")
-        return value
+        return self.per_verb_seconds.get(verb, self.default_seconds)
 
 
 @dataclass(frozen=True)
@@ -355,7 +365,7 @@ def run_script(script: ActivityScript, env: EnvironmentGraph,
     """Execute a script. Strict mode raises Unexecutable at the first failing
     step; repair mode inserts a walk before any step failing with NotClose
     (once per step) and retries."""
-    if mode not in ("strict", "repair"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     current = script
     repaired: set[int] = set()  # indices already given an inserted walk

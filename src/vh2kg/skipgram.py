@@ -16,14 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCorpus, IndexOutOfRange, MalformedVectors, UnknownToken
+from .errors import (BadConfig, EmptyCorpus, IndexOutOfRange, MalformedVectors,
+                     UnknownToken)
 from .walks import WalkCorpus, _escape_token, _unescape_token
 
 
 @dataclass(frozen=True)
 class SkipGramConfig:
-    vector_size: int = 100
-    window: int = 9
+    vector_size: int = 64
+    window: int = 5
     epochs: int = 5
     learning_rate: float = 0.025
     negative_samples: int = 5   # 0 selects the exact-softmax route
@@ -31,9 +32,15 @@ class SkipGramConfig:
 
     def __post_init__(self):
         if self.vector_size < 1:
-            raise ValueError("vector_size must be >= 1")
+            raise BadConfig("vector_size must be >= 1")
         if self.window < 1:
-            raise ValueError("window must be >= 1")
+            raise BadConfig("window must be >= 1")
+        if self.epochs < 1:
+            raise BadConfig("epochs must be >= 1")
+        if not self.learning_rate > 0:
+            raise BadConfig("learning_rate must be > 0")
+        if self.negative_samples < 0:
+            raise BadConfig("negative_samples must be >= 0")
 
 
 @dataclass

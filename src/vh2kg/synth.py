@@ -11,10 +11,12 @@ What every activity over a scene repeats is worked out once per scene: a
 node table, cached on the trace's situation-0 graph and keyed by the scene
 id and the affordance table's value, holds each node's IRI, its scene
 triples (class, room type or height, affordances, attributes), its IRI
-stem and its situation-0 bbox literals and state tokens.  An object that
-no step of the trace changes emits its situation-0 state block from the
-table, then one ``partOf`` per later situation; only changed objects walk
-``state_indices``.
+stem and its situation-0 bbox literals and state tokens.  Every document
+over the scene holds the table's scene ``Triple``s themselves, so a corpus
+merged with ``doc.update(build_activity_kg(...))`` keeps one object per
+scene triple.  An object that no step of the trace changes emits its
+situation-0 state block from the table, then one ``partOf`` per later
+situation; only changed objects walk ``state_indices``.
 """
 
 from __future__ import annotations
@@ -101,25 +103,21 @@ def state_indices(trace: Trace, node_id: int) -> list[int]:
 
 
 def build_activity_kg(trace: Trace, meta: ActivityMeta,
-                      affordance_table=None,
-                      doc: KgDocument | None = None) -> KgDocument:
+                      affordance_table=None) -> KgDocument:
     if len(trace.situations) != len(trace.transitions) + 1:
         raise InvalidTrace("trace must carry one more situation than transitions")
-    if doc is None:
-        doc = KgDocument()
     with _paused_gc():
-        # The batch of plain tuples is dropped before collection resumes,
-        # so no collection scans it next to the document's Triples.
-        doc.add_all(map(_as_triple, _emit_activity(trace, meta, affordance_table)))
-    return doc
+        return KgDocument(triples=_emit_activity(trace, meta, affordance_table))
 
 
 def _emit_activity(trace: Trace, meta: ActivityMeta,
-                   affordance_table) -> list[tuple]:
-    """The activity's triples as plain ``(s, p, o)`` tuples."""
+                   affordance_table) -> list:
+    """The activity's ``Triple``s: its own, and its scene's from the table."""
     out = []
-    add = out.append
-    extend = out.extend
+
+    def add(*triples):
+        out.extend(map(_as_triple, triples))
+
     f = IriFactory.for_meta(meta)
     activity = f.activity()
     agent_iri = f.agent()
@@ -129,32 +127,32 @@ def _emit_activity(trace: Trace, meta: ActivityMeta,
     situations = [f.situation(n) for n in range(len(trace.situations))]
 
     category_class = S.CATEGORY_CLASSES.get(meta.category, S.CATEGORY_CLASSES["Other"])
-    extend(((activity, S.RDF_TYPE, category_class),
-            (activity, S.RDF_TYPE, S.ACTIVITY),
-            (category_class, S.RDFS_SUBCLASS, S.ACTIVITY),
-            (activity, S.RDFS_LABEL, string(meta.name))))
+    add((activity, S.RDF_TYPE, category_class),
+        (activity, S.RDF_TYPE, S.ACTIVITY),
+        (category_class, S.RDFS_SUBCLASS, S.ACTIVITY),
+        (activity, S.RDFS_LABEL, string(meta.name)))
     if meta.description:
         add((activity, S.RDFS_COMMENT, string(meta.description)))
     # round per-event durations first so the stored total is exactly their
     # sum even after fixed-point serialization
     rounded = [round(tr.duration_seconds, 9) for tr in trace.transitions]
-    extend(((activity, S.AGENT, agent_iri),
-            (activity, S.VIRTUAL_HOME, f.scene_iri()),
-            (activity, S.TIME_PROP, decimal(sum(rounded))),
-            (agent_iri, S.RDF_TYPE, S.CHARACTER)))
+    add((activity, S.AGENT, agent_iri),
+        (activity, S.VIRTUAL_HOME, f.scene_iri()),
+        (activity, S.TIME_PROP, decimal(sum(rounded))),
+        (agent_iri, S.RDF_TYPE, S.CHARACTER))
 
     # events
     env0 = trace.situations[0].graph
     for n, tr in enumerate(trace.transitions):
         ev = events[n]
-        extend(((activity, S.HAS_EVENT, ev),
-                (ev, S.RDF_TYPE, S.EVENT),
-                (ev, S.EVENT_NUMBER, integer(n)),
-                (ev, S.ACTION, S.action_iri(tr.step.verb)),
-                (ev, S.AGENT, agent_iri),
-                (ev, S.SITUATION_BEFORE, situations[n]),
-                (ev, S.SITUATION_AFTER, situations[n + 1]),
-                (ev, S.TIME_PROP, decimal(rounded[n]))))
+        add((activity, S.HAS_EVENT, ev),
+            (ev, S.RDF_TYPE, S.EVENT),
+            (ev, S.EVENT_NUMBER, integer(n)),
+            (ev, S.ACTION, S.action_iri(tr.step.verb)),
+            (ev, S.AGENT, agent_iri),
+            (ev, S.SITUATION_BEFORE, situations[n]),
+            (ev, S.SITUATION_AFTER, situations[n + 1]),
+            (ev, S.TIME_PROP, decimal(rounded[n])))
         if n == n_events - 1:
             add((ev, S.RDF_TYPE, S.END_EVENT))
         if tr.step.main_object is not None:
@@ -168,11 +166,11 @@ def _emit_activity(trace: Trace, meta: ActivityMeta,
         if tr.start_room_id == tr.end_room_id:
             add((ev, S.PLACE, f.object(env0.node(tr.end_room_id))))
         else:
-            extend(((ev, S.FROM, f.object(env0.node(tr.start_room_id))),
-                    (ev, S.TO, f.object(env0.node(tr.end_room_id)))))
+            add((ev, S.FROM, f.object(env0.node(tr.start_room_id))),
+                (ev, S.TO, f.object(env0.node(tr.end_room_id))))
 
     # situations
-    extend((situation, S.RDF_TYPE, S.SITUATION) for situation in situations)
+    add(*((situation, S.RDF_TYPE, S.SITUATION) for situation in situations))
 
     # objects, states, shapes
     changed = frozenset().union(*(tr.changed_object_ids for tr in trace.transitions))
@@ -180,15 +178,15 @@ def _emit_activity(trace: Trace, meta: ActivityMeta,
     later = situations[1:]
     for node_id, iri, scene_triples, stem, literals, tokens in _node_table(
             env0, f, affordance_table):
-        extend(scene_triples)
+        out.extend(scene_triples)
         if literals is None:  # a room has no state
             continue
         # the IRIs of IriFactory.state and IriFactory.shape
         prev = f"{EX}state0_{stem}_{local}"
-        extend(_state_triples(prev, f"{EX}shape0_{stem}_{local}", iri, situations[0],
-                              literals, tokens))
+        add(*_state_triples(prev, f"{EX}shape0_{stem}_{local}", iri, situations[0],
+                            literals, tokens))
         if node_id not in changed:
-            extend([(prev, S.PART_OF, situation) for situation in later])
+            add(*[(prev, S.PART_OF, situation) for situation in later])
             continue
         for n, minted in enumerate(state_indices(trace, node_id)[1:], 1):
             if minted != n:
@@ -196,11 +194,11 @@ def _emit_activity(trace: Trace, meta: ActivityMeta,
                 continue
             current = trace.situations[n].graph.node(node_id)
             state_iri = f"{EX}state{n}_{stem}_{local}"
-            extend(_state_triples(state_iri, f"{EX}shape{n}_{stem}_{local}", iri,
-                                  situations[n], _bbox_literals(current),
-                                  _state_tokens(current)))
-            extend(((prev, S.NEXT_STATE, state_iri),
-                    (state_iri, S.PREVIOUS_STATE, prev)))
+            add(*_state_triples(state_iri, f"{EX}shape{n}_{stem}_{local}", iri,
+                                situations[n], _bbox_literals(current),
+                                _state_tokens(current)),
+                (prev, S.NEXT_STATE, state_iri),
+                (state_iri, S.PREVIOUS_STATE, prev))
             prev = state_iri
     return out
 
@@ -218,9 +216,9 @@ def _node_table(env0: EnvironmentGraph, f: IriFactory, affordance_table) -> tupl
     ``(id, IRI, scene triples, IRI stem, bbox literals, state-token IRIs)``.
 
     The scene triples (class, room type or height, affordances,
-    attributes) are the same in every activity over the scene.  The bbox
-    literals (center then size) and state tokens are situation 0's; a room
-    has ``None`` for both.  The table is cached on the graph, keyed by the
+    attributes) are the same ``Triple``s in every activity over the scene.
+    The bbox literals (center then size) and state tokens are situation
+    0's; a room has ``None`` for both.  The table is cached on the graph, keyed by the
     scene id and by the affordance table's value, so a table mutated in
     place gets a new row set; a graph derived by ``with_nodes`` or
     ``with_edges`` starts with an empty cache."""
@@ -235,7 +233,7 @@ def _node_table(env0: EnvironmentGraph, f: IriFactory, affordance_table) -> tupl
         scene_triples = [(iri, S.RDF_TYPE, S.HO + node.class_name)]
         if node.is_room:
             scene_triples.append((iri, S.RDF_TYPE, S.ROOM))
-            rows.append((node.id, iri, tuple(scene_triples),
+            rows.append((node.id, iri, tuple(map(_as_triple, scene_triples)),
                          f"{node.class_name}{node.id}", None, None))
             continue
         height_iri = f.height(node)
@@ -245,8 +243,9 @@ def _node_table(env0: EnvironmentGraph, f: IriFactory, affordance_table) -> tupl
                           for verb in sorted(afforded_verbs(node, affordance_table)))
         scene_triples += ((iri, S.ATTRIBUTE, S.VH2KG + tok)
                           for tok in sorted(node.properties) if tok not in PROPERTY_VERBS)
-        rows.append((node.id, iri, tuple(scene_triples), f"{node.class_name}{node.id}",
-                     _bbox_literals(node), _state_tokens(node)))
+        rows.append((node.id, iri, tuple(map(_as_triple, scene_triples)),
+                     f"{node.class_name}{node.id}", _bbox_literals(node),
+                     _state_tokens(node)))
     table = env0._node_tables[key] = tuple(rows)
     return table
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import schema as S
-from .errors import MalformedWalks, NoRoots
+from .errors import BadConfig, MalformedWalks, NoRoots
 from .rdf import KgDocument, Literal
 
 DEFAULT_SKIP_PREDICATES = frozenset({
@@ -25,9 +25,9 @@ DEFAULT_SKIP_PREDICATES = frozenset({
 
 @dataclass(frozen=True)
 class WalkConfig:
-    depth: int = 8
-    walks_per_entity: int = 100
-    wl_iterations: int = 6
+    depth: int = 4
+    walks_per_entity: int = 25
+    wl_iterations: int = 0
     skip_predicates: frozenset = DEFAULT_SKIP_PREDICATES
     roots: tuple | None = None   # default: activity instances
     seed: int = 0
@@ -35,11 +35,11 @@ class WalkConfig:
 
     def __post_init__(self):
         if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+            raise BadConfig("depth must be >= 1")
         if self.walks_per_entity < 1:
-            raise ValueError("walks_per_entity must be >= 1")
+            raise BadConfig("walks_per_entity must be >= 1")
         if self.wl_iterations < 0:
-            raise ValueError("wl_iterations must be >= 0")
+            raise BadConfig("wl_iterations must be >= 0")
 
 
 # Walk tokens include literal lexical forms, so a token may hold the

@@ -68,7 +68,7 @@ def repair_traces(base_env, fp_env, scripts, affordance_table):
 def base_doc(base_runs, affordance_table):
     doc = KgDocument()
     for trace, meta in base_runs:
-        build_activity_kg(trace, meta, affordance_table, doc=doc)
+        doc.update(build_activity_kg(trace, meta, affordance_table))
     return doc
 
 
@@ -76,7 +76,7 @@ def base_doc(base_runs, affordance_table):
 def fp_doc(fp_runs, affordance_table):
     doc = KgDocument()
     for trace, meta in fp_runs:
-        build_activity_kg(trace, meta, affordance_table, doc=doc)
+        doc.update(build_activity_kg(trace, meta, affordance_table))
     return doc
 
 
@@ -88,9 +88,9 @@ def planted(base_runs, affordance_table):
     doc = KgDocument()
     pairs = []
     for i, (trace, meta) in enumerate(base_runs):
-        build_activity_kg(trace, meta, affordance_table, doc=doc)
+        doc.update(build_activity_kg(trace, meta, affordance_table))
         if i % 4 == 0 and len(pairs) < 5:
             twin = replace(meta, index=1)
-            build_activity_kg(trace, twin, affordance_table, doc=doc)
+            doc.update(build_activity_kg(trace, twin, affordance_table))
             pairs.append((meta, twin))
     return doc, pairs

@@ -110,7 +110,7 @@ doc = KgDocument()
 for trace, meta in simulate_corpus(load_fixture_scripts(),
                                    load_fixture_environment(),
                                    affordance_table=aff):
-    build_activity_kg(trace, meta, aff, doc=doc)
+    doc.update(build_activity_kg(trace, meta, aff))
 print(repr(analytics.duration_by_activity(doc)))
 print(repr(analytics.duration_by_activity(doc, "Leisure")))
 """

@@ -117,6 +117,30 @@ def test_embed_and_cluster(capsys, tmp_path):
     assert all("," in line for line in out.splitlines())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("walks", "{graph}", "--depth", "0"), "depth must be >= 1"),
+    (("embed", "{graph}", "--dims", "0"), "vector_size must be >= 1"),
+    (("embed", "{graph}", "--epochs", "0"), "epochs must be >= 1"),
+    (("cluster", "{vectors}", "-k", "0"), "k must be >= 1")])
+def test_out_of_range_flag_is_exit_1(capsys, caplog, tmp_path, argv, message):
+    graph, vectors = tmp_path / "g.nt", tmp_path / "v.tsv"
+    graph.write_text("<http://x/a> <http://x/p> <http://x/b> .\n", encoding="utf-8")
+    vectors.write_text(export_vectors(EmbeddingModel(
+        ["a", "b"], np.eye(2), np.zeros((2, 2)))), encoding="utf-8")
+    code = main([arg.format(graph=graph, vectors=vectors) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "Traceback" not in captured.err
+    assert message in caplog.text
+
+
+def test_unknown_category_is_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", SCRIPT, "--category", "Nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'Nope'" in capsys.readouterr().err
+
+
 def test_missing_file_is_exit_1(capsys):
     code, _ = run(capsys, "parse", "/nonexistent/script.txt")
     assert code == 1
@@ -216,7 +240,20 @@ def test_pipeline_names_the_unset_flag(capsys, caplog, tmp_path, flags, unset):
     ('{"formats": 3}', "not iterable"),
     ('{"formats": "nt"}', "formats must be a list, not a string"),
     ('{"formats": ["nt", "xml"]}', "unknown format(s) 'xml'; choose from nt, ttl"),
-    ('["seed"]', "expected a JSON object")])
+    ('["seed"]', "expected a JSON object"),
+    ('{"duration": {"default_seconds": -1}}', "duration: default_seconds must be > 0"),
+    ('{"duration": {"per_verb_seconds": {"grab": 0}}}',
+     "duration: per_verb_seconds: grab must be > 0"),
+    ('{"duration": {"per_verb_seconds": [1]}}',
+     "duration: per_verb_seconds must be a JSON object"),
+    ('{"sim": {"walk_speed": 0}}', "sim: walk_speed must be > 0"),
+    ('{"sim": {"walk_speed": NaN}}', "sim: walk_speed must be > 0"),
+    ('{"mode": "fast"}', "unknown mode 'fast'; choose from strict, repair"),
+    ('{"scene_id": "a b"}', "scene id 'a b' must match"),
+    ('{"kmeans": {"max_iters": 0}}', "kmeans: max_iters must be >= 1"),
+    ('{"skipgram": {"learning_rate": -1}}', "skipgram: learning_rate must be > 0"),
+    ('{"skipgram": {"negative_samples": -2}}', "skipgram: negative_samples must be >= 0"),
+    ('{"skipgram": {"epochs": 0}}', "skipgram: epochs must be >= 1")])
 def test_bad_pipeline_config_is_exit_1(capsys, caplog, tmp_path, text, message):
     config = tmp_path / "config.json"
     config.write_text(text, encoding="utf-8")

@@ -16,7 +16,6 @@ from vh2kg.pipeline import PipelineConfig, run_pipeline, simulate_corpus
 from vh2kg.rdf import (EX, KgDocument, KgIndex, serialize_ntriples,
                        serialize_turtle)
 from vh2kg.risk import detect_risks
-from vh2kg.skipgram import SkipGramConfig
 from vh2kg.synth import IriFactory, build_activity_kg
 from vh2kg.walks import WalkConfig
 
@@ -51,7 +50,7 @@ def test_duplicate_names_get_distinct_activities(scripts, base_env, affordance_t
     assert [meta.index for _, meta in runs] == [0, 1]
     doc = KgDocument()
     for trace, meta in runs:
-        build_activity_kg(trace, meta, affordance_table, doc=doc)
+        doc.update(build_activity_kg(trace, meta, affordance_table))
     assert len(KgIndex(doc).subjects(S.RDF_TYPE, S.EVENT)) == 10
     findings, _ = detect_risks(doc)
     assert (EX + "event1_carry_box0_scene1", "R2") in {f.key() for f in findings}
@@ -106,8 +105,6 @@ def test_config_section_keeps_the_pipeline_defaults(tmp_path):
         depth=2, walks_per_entity=25, wl_iterations=0)
     assert cfg.skipgram == replace(default.skipgram, epochs=1)
     assert (cfg.skipgram.vector_size, cfg.skipgram.window) == (64, 5)
-    # the section's own class default differs, so the value is the pipeline's
-    assert SkipGramConfig().window != cfg.skipgram.window
 
 
 def test_one_sort_per_run_and_the_same_log(tmp_path, monkeypatch):

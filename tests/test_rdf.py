@@ -394,10 +394,8 @@ _TERM_ROWS = st.lists(st.tuples(st.sampled_from(_TERMS), st.booleans(),
 
 
 def term_doc(rows):
-    doc = KgDocument()
-    doc.add_all(Triple("".join(list(s)) if copy else s, p, o)
-                for s, copy, p, o in rows)
-    return doc
+    return KgDocument(triples=[Triple("".join(list(s)) if copy else s, p, o)
+                               for s, copy, p, o in rows])
 
 
 _TTL_PREFIX = re.compile(r"@prefix ([A-Za-z0-9_-]*): <([^>]*)> \.")
@@ -572,8 +570,8 @@ def test_order_contract_triples_and_lookups_follow_insertion():
              for s, pred, o in (("c", p, "z"), ("a", q, "y"), ("c", p, "x"),
                                 ("b", p, "z"), ("a", p, "y"), ("c", q, "w"))]
     doc = KgDocument()
-    doc.add(*added[0])
-    doc.add_all(added[1:3])
+    for t in added[:3]:
+        doc.add(*t)
     other = KgDocument(triples=added[3:])
     doc.update(other)
     doc.add(*added[0])  # a triple added again keeps its place

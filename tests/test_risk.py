@@ -144,7 +144,7 @@ def test_kg_rules_scale_over_replicas(base_runs, affordance_table, monkeypatch):
     for k in (1, 2, 3):
         for trace, meta in base_runs:
             meta = replace(meta, index=10 * k + meta.index)
-            build_activity_kg(trace, meta, affordance_table, doc=doc)
+            doc.update(build_activity_kg(trace, meta, affordance_table))
             expected |= {(f.key(), f.activity_iri, f.agent_iri, f.object_iri)
                          for f in eval_rules_trace(
                              trace, meta, affordance_table=affordance_table)}

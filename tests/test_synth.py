@@ -35,14 +35,48 @@ def events_in_order(idx, activity):
 def test_documents_hold_only_triples(base_runs, base_doc, affordance_table):
     trace, meta = base_runs[0]
     alone = synth.build_activity_kg(trace, meta, affordance_table)
-    into = synth.build_activity_kg(trace, meta, affordance_table,
-                                   doc=KgDocument(triples={("a", "b", "c")}))
+    into = KgDocument(triples={("a", "b", "c")})
+    into.update(synth.build_activity_kg(trace, meta, affordance_table))
     # perfbench's oracle reads triples by attribute (t.subject)
     assert {type(t) for t in alone.triples} == {Triple}
     assert {type(t) for t in base_doc.triples} == {Triple}
     # the earlier triple first, then the activity's in the order they were made
     assert list(into.triples) == [("a", "b", "c"), *alone.triples]
     assert {type(t) for t in list(into.triples)[1:]} == {Triple}
+
+
+def test_scene_triples_are_made_once_per_scene_and_table(base_runs, affordance_table):
+    """Activities over one scene and one affordance table (by value) hold
+    the same scene-triple objects; another scene id or another table gets
+    objects of its own."""
+    (trace, meta), (other_trace, other_meta) = base_runs[:2]
+    g0 = trace.situations[0].graph
+    assert other_trace.situations[0].graph is g0
+
+    def scene(doc, meta):
+        f = IriFactory.for_meta(meta)
+        subjects = {f.agent() if n.is_agent else f.object(n) for n in g0.nodes}
+        subjects |= {f.height(n) for n in g0.nodes if not n.is_room}
+        return [t for t in doc.triples
+                if t.subject in subjects and t.object != S.CHARACTER]
+
+    first = synth.build_activity_kg(trace, meta, affordance_table)
+    held = {t: t for t in first.triples}  # each triple to first's object
+    block = scene(first, meta)
+    assert len(block) > 2 * len(g0.nodes)
+    for doc in (synth.build_activity_kg(other_trace, other_meta, affordance_table),
+                synth.build_activity_kg(trace, meta, dict(affordance_table))):
+        assert scene(doc, meta) == block
+        assert all(held[t] is t for t in scene(doc, meta))
+
+    moved = replace(meta, scene_id="scene2")
+    grab_all = {cls: frozenset({"grab"}) for cls in affordance_table}
+    for doc, doc_meta in ((synth.build_activity_kg(trace, moved, affordance_table), moved),
+                          (synth.build_activity_kg(trace, meta, grab_all), meta)):
+        assert scene(doc, doc_meta)
+        assert not any(held.get(t) is t for t in scene(doc, doc_meta))
+    # the other table's class and height triples equal the first's
+    assert set(scene(doc, meta)) & set(block)
 
 
 def test_twenty_activities(idx, base_doc):

@@ -144,8 +144,8 @@ def test_synth_errors_restore_gc_and_leave_doc(base_runs, affordance_table,
     doc = KgDocument()
     doc.add("http://x/a", "http://x/p", "http://x/b")
     with pytest.raises(InvalidTrace):
-        build_activity_kg(replace(trace, situations=trace.situations[:-1]),
-                          meta, affordance_table, doc=doc)
+        doc.update(build_activity_kg(replace(trace, situations=trace.situations[:-1]),
+                                     meta, affordance_table))
     assert gc.isenabled()
 
     def broken(value, places=9):
@@ -153,7 +153,7 @@ def test_synth_errors_restore_gc_and_leave_doc(base_runs, affordance_table,
 
     monkeypatch.setattr(synth, "decimal", broken)
     with pytest.raises(ValueError):
-        build_activity_kg(trace, meta, affordance_table, doc=doc)
+        doc.update(build_activity_kg(trace, meta, affordance_table))
     assert gc.isenabled()
     assert len(doc.triples) == 1  # a failed build adds nothing
 
