@@ -208,8 +208,6 @@ def cmd_analyze(args):
     elif args.query == "durations":
         ranking = analytics.duration_by_activity(doc, args.category)
         sys.stdout.write(analytics.format_ranking(ranking, ("activity", "seconds")))
-    else:
-        raise VH2KGError(f"unknown query {args.query!r}")
     return 0
 
 
@@ -383,9 +381,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except VH2KGError as exc:
-        log.error("%s", exc)
-        return 1
-    except FileNotFoundError as exc:
         log.error("%s", exc)
         return 1
     except BrokenPipeError:

@@ -72,12 +72,19 @@ class PipelineConfig:
         return _from_dict(cls(), raw, str(path))
 
 
+#: The scalar types a config value may replace, as an error names them.
+_SCALARS = {int: "an integer", float: "a number", bool: "true or false",
+            str: "a string"}
+
+
 def _from_dict(default, raw, where: str):
     """The dataclass instance ``default`` with the keys of the JSON object
     ``raw`` applied.  Each value is read as the type of the default it
     replaces: a nested object is applied to that section's default, a list
-    becomes a tuple or frozenset.  An error names its place: ``where``, then
-    the section keys down to the bad value."""
+    becomes a tuple or frozenset, a scalar must have the default's type (a
+    number may replace a float), and ``walk.roots`` takes a list of strings.
+    An error names its place: ``where``, then the section keys down to the
+    bad value."""
     if not isinstance(raw, dict):
         raise BadConfig(f"{where}: expected a JSON object")
     unknown = sorted(raw.keys() - {f.name for f in fields(default)})
@@ -99,6 +106,14 @@ def _from_dict(default, raw, where: str):
                 value = kind(value)
             elif kind is dict and not isinstance(value, dict):
                 raise ValueError(f"{key} must be a JSON object")
+            elif kind in _SCALARS:
+                # type(), not isinstance(): JSON true is no integer here
+                if type(value) not in ((int, float) if kind is float else (kind,)):
+                    raise ValueError(f"{key} must be {_SCALARS[kind]}, got {value!r}")
+            elif current is None and value is not None:  # walk.roots
+                if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                    raise ValueError(f"{key} must be a list of strings, got {value!r}")
+                value = tuple(value)
             values[key] = value
         return replace(default, **values)
     except (TypeError, ValueError) as exc:

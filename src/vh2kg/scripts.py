@@ -11,7 +11,7 @@ Verb tokens are upper-case in source form and normalized to lowerCamel.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import MalformedStep, MissingHeader, UnknownVerb
 
@@ -39,28 +39,8 @@ DEFAULT_VERBS = frozenset({
 
 # Source-form token -> canonical verb.  "TURNT0" (zero) appears in real
 # datasets alongside "TURNTO" and is mapped to the same verb.
-_NORMALIZATION = {
-    "WALK": "walk",
-    "FIND": "find",
-    "SIT": "sit",
-    "STANDUP": "standUp",
-    "GRAB": "grab",
-    "SWITCHON": "switchOn",
-    "SWITCHOFF": "switchOff",
-    "OPEN": "open",
-    "CLOSE": "close",
-    "PUTBACK": "putBack",
-    "PUTOBJBACK": "putBack",
-    "DRINK": "drink",
-    "TOUCH": "touch",
-    "LOOKAT": "lookAt",
-    "TURNTO": "turnTo",
-    "TURNT0": "turnTo",
-    "WATCH": "watch",
-    "POUR": "pour",
-    "READ": "read",
-    "LIE": "lie",
-}
+_NORMALIZATION = ({v.upper(): v for v in DEFAULT_VERBS}
+                  | {"PUTOBJBACK": "putBack", "TURNT0": "turnTo"})
 
 #: Verbs that take no object at all.
 ZERO_OBJECT_VERBS = frozenset({"standUp"})
@@ -178,8 +158,3 @@ def validate_vocabulary(script: ActivityScript,
     """Return (step index, verb) for every step whose verb is not in vocab."""
     return [(i, s.verb) for i, s in enumerate(script.steps) if s.verb not in vocab]
 
-
-def insert_step(script: ActivityScript, index: int, step: Step) -> ActivityScript:
-    steps = list(script.steps)
-    steps.insert(index, step)
-    return replace(script, steps=steps)

@@ -1,9 +1,12 @@
 """Symbolic executor for activity scripts over an environment graph.
 
-Each verb has a precondition/effect entry; execution threads an immutable
-state (graph snapshot, posture, held objects, clock) through the steps and
-records per-step transitions with durations and changed-object sets.  No
-rendering, no physics: coordinates move in straight horizontal lines.
+Each verb has a precondition/effect entry: ``PRECONDITIONS`` names the verbs
+that need their main object within reach and the affordance each needs,
+``STATE_SWAPS`` the state flips, and ``execute_step`` holds the rest.
+Execution threads an immutable state (graph snapshot, posture, held objects,
+clock) through the steps and records per-step transitions with durations and
+changed-object sets.  No rendering, no physics: coordinates move in straight
+horizontal lines.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from .errors import BadConfig, Unexecutable
 from .home import (BoundingBox, EnvironmentGraph, ObjectNode, RelationEdge,
                    afforded_verbs, dump_environment)
-from .scripts import ActivityScript, ObjectRef, Step, insert_step
+from .scripts import ActivityScript, ObjectRef, Step
 
 POSTURES = ("STANDING", "SITTING", "LYING")
 
@@ -22,6 +25,18 @@ MODES = ("strict", "repair")
 
 REASONS = ("NotClose", "NoAffordance", "WrongState", "ObjectAbsent",
            "HandsFull", "NotHolding", "UnknownVerb")
+
+#: Verbs that act on a main object within reach, each with the affordance
+#: that object needs (None: reach alone).
+PRECONDITIONS = {
+    "grab": "grab", "switchOn": "switchOn", "switchOff": "switchOff",
+    "open": "open", "close": "open", "sit": "sit", "lie": "lie",
+    "touch": None, "watch": None, "lookAt": None, "turnTo": None,
+}
+
+#: The state a verb needs its main object in, and the state it leaves.
+STATE_SWAPS = {"switchOn": ("OFF", "ON"), "switchOff": ("ON", "OFF"),
+               "open": ("CLOSED", "OPEN"), "close": ("OPEN", "CLOSED")}
 
 
 @dataclass(frozen=True)
@@ -187,10 +202,11 @@ def initial_state(env: EnvironmentGraph, cfg: SimConfig = SimConfig()) -> Simula
                            current_room_id=_agent_room(env, None))
 
 
-def _is_close(state: SimulationState, obj: ObjectNode) -> bool:
-    if obj.id in state.held_ids():
-        return True
-    return state.graph.agent.bbox.distance_to(obj.bbox) <= state.cfg.close_threshold
+def _require_close(state: SimulationState, obj: ObjectNode) -> None:
+    """Raise NotClose unless the agent holds ``obj`` or is within reach of it."""
+    if (obj.id not in state.held_ids()
+            and state.graph.agent.bbox.distance_to(obj.bbox) > state.cfg.close_threshold):
+        raise StepFailure("NotClose", f"agent not close to {obj.class_name}#{obj.id}")
 
 
 def _resolve(state: SimulationState, ref: ObjectRef | None) -> ObjectNode:
@@ -251,12 +267,12 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
     edits = {}
     edges, held, posture, facing = env.edges, state.held, state.posture, None
 
-    def affords(node, v):
-        return v in afforded_verbs(node, affordance_table)
-
-    def require_close(node):
-        if not _is_close(state, node):
-            raise StepFailure("NotClose", f"agent not close to {node.class_name}#{node.id}")
+    if verb in PRECONDITIONS:  # these verbs act on ``target`` below
+        target = _resolve(state, step.main_object)
+        _require_close(state, target)
+        need = PRECONDITIONS[verb]
+        if need is not None and need not in afforded_verbs(target, affordance_table):
+            raise StepFailure("NoAffordance", f"{target.class_name} does not afford {need}")
 
     if verb == "walk":
         target = _resolve(state, step.main_object)
@@ -269,10 +285,6 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
             raise StepFailure("NotClose", f"{target.class_name}#{target.id} is in another room")
         facing = (env.agent.id, target.id)
     elif verb == "grab":
-        target = _resolve(state, step.main_object)
-        require_close(target)
-        if not affords(target, "grab"):
-            raise StepFailure("NoAffordance", f"{target.class_name} does not afford grab")
         hands = state.held_map
         free = next((h for h in ("RH", "LH") if hands[h] is None), None)
         if free is None:
@@ -283,29 +295,12 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
         edits[target.id] = replace(
             target, bbox=BoundingBox((ax + cfg.hold_offset, ay, az), target.bbox.size))
         edges = tuple(e for e in edges if e.from_id != target.id)
-    elif verb in ("switchOn", "switchOff"):
-        target = _resolve(state, step.main_object)
-        require_close(target)
-        if not affords(target, verb):
-            raise StepFailure("NoAffordance", f"{target.class_name} does not afford {verb}")
-        want_off, want_on = ("OFF", "ON") if verb == "switchOn" else ("ON", "OFF")
-        if want_off not in target.states:
-            raise StepFailure("WrongState", f"{target.class_name} is not {want_off}")
-        edits = _swap_states(target, (want_off,), (want_on,))
-    elif verb in ("open", "close"):
-        target = _resolve(state, step.main_object)
-        require_close(target)
-        if not affords(target, "open"):
-            raise StepFailure("NoAffordance", f"{target.class_name} does not afford open")
-        frm, to = ("CLOSED", "OPEN") if verb == "open" else ("OPEN", "CLOSED")
+    elif verb in STATE_SWAPS:
+        frm, to = STATE_SWAPS[verb]
         if frm not in target.states:
             raise StepFailure("WrongState", f"{target.class_name} is not {frm}")
         edits = _swap_states(target, (frm,), (to,))
     elif verb in ("sit", "lie"):
-        target = _resolve(state, step.main_object)
-        require_close(target)
-        if not affords(target, verb):
-            raise StepFailure("NoAffordance", f"{target.class_name} does not afford {verb}")
         posture = "SITTING" if verb == "sit" else "LYING"
         edits = _swap_states(env.agent, POSTURES, (posture,))
     elif verb == "standUp":
@@ -320,7 +315,7 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
         hand = next((h for h, oid in hands.items() if oid == main.id), None)
         if hand is None:
             raise StepFailure("NotHolding", f"agent is not holding {main.class_name}#{main.id}")
-        require_close(target)
+        _require_close(state, target)
         hands[hand] = None
         held = tuple(sorted(hands.items()))
         tx, _, tz = target.bbox.center
@@ -331,13 +326,9 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
         main = _resolve(state, step.main_object)
         if main.id not in state.held_ids():
             raise StepFailure("NotHolding", f"agent is not holding {main.class_name}#{main.id}")
-    elif verb in ("touch", "watch"):
-        require_close(_resolve(state, step.main_object))
     elif verb in ("lookAt", "turnTo"):
-        target = _resolve(state, step.main_object)
-        require_close(target)
         facing = (env.agent.id, target.id)
-    else:
+    elif verb not in PRECONDITIONS:  # touch and watch need reach and change nothing
         raise StepFailure("UnknownVerb", verb)
 
     changed = frozenset(i for i, new in edits.items()
@@ -362,39 +353,37 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
 def run_script(script: ActivityScript, env: EnvironmentGraph,
                dm: DurationModel = DurationModel(), mode: str = "strict",
                cfg: SimConfig = SimConfig(), affordance_table=None) -> Trace:
-    """Execute a script. Strict mode raises Unexecutable at the first failing
-    step; repair mode inserts a walk before any step failing with NotClose
-    (once per step) and retries."""
+    """Execute a script in one pass.  Strict mode raises Unexecutable at the
+    first failing step.  Repair mode answers a step failing with NotClose by
+    a walk to its main object, then retries that step once; the trace's
+    script holds the inserted walks, and a report's index counts them."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    current = script
-    repaired: set[int] = set()  # indices already given an inserted walk
     start = env._initial_states.get(cfg)
     if start is None:
         start = env._initial_states[cfg] = initial_state(env, cfg)
-    while True:
-        situations = [start]
-        transitions = []
-        failure = None
-        for idx, step in enumerate(current.steps):
+    situations, transitions = [start], []
+
+    def run(step):
+        state, record = execute_step(situations[-1], step, dm, affordance_table,
+                                     step_index=len(transitions))
+        situations.append(state)
+        transitions.append(record)
+
+    try:
+        for step in script.steps:
             try:
-                state, record = execute_step(
-                    situations[-1], step, dm, affordance_table, step_index=idx)
+                run(step)
             except StepFailure as exc:
-                failure = (idx, step, exc)
-                break
-            situations.append(state)
-            transitions.append(record)
-        if failure is None:
-            return Trace(current, tuple(situations), tuple(transitions))
-        idx, step, exc = failure
-        if (mode == "repair" and exc.reason == "NotClose"
-                and step.main_object is not None and idx not in repaired):
-            current = insert_step(current, idx, Step(
-                "walk", step.main_object, inserted=True))
-            repaired = {i + 1 if i >= idx else i for i in repaired} | {idx + 1}
-            continue
-        raise Unexecutable(ExecutabilityReport(False, idx, exc.reason, exc.detail))
+                if mode != "repair" or exc.reason != "NotClose":
+                    raise
+                run(Step("walk", step.main_object, inserted=True))
+                run(step)
+    except StepFailure as exc:
+        raise Unexecutable(ExecutabilityReport(
+            False, len(transitions), exc.reason, exc.detail)) from None
+    return Trace(replace(script, steps=[t.step for t in transitions]),
+                 tuple(situations), tuple(transitions))
 
 
 def check_executable(script: ActivityScript, env: EnvironmentGraph,

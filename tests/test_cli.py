@@ -253,7 +253,16 @@ def test_pipeline_names_the_unset_flag(capsys, caplog, tmp_path, flags, unset):
     ('{"kmeans": {"max_iters": 0}}', "kmeans: max_iters must be >= 1"),
     ('{"skipgram": {"learning_rate": -1}}', "skipgram: learning_rate must be > 0"),
     ('{"skipgram": {"negative_samples": -2}}', "skipgram: negative_samples must be >= 0"),
-    ('{"skipgram": {"epochs": 0}}', "skipgram: epochs must be >= 1")])
+    ('{"skipgram": {"epochs": 0}}', "skipgram: epochs must be >= 1"),
+    ('{"seed": "x"}', "seed must be an integer, got 'x'"),
+    ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
+    ('{"seed": true}', "seed must be an integer, got True"),
+    ('{"walk": {"depth": "4"}}', "walk: depth must be an integer, got '4'"),
+    ('{"walk": {"exhaustive": "yes"}}', "walk: exhaustive must be true or false, got 'yes'"),
+    ('{"walk": {"roots": 5}}', "walk: roots must be a list of strings, got 5"),
+    ('{"walk": {"roots": ["a", 1]}}', "walk: roots must be a list of strings, got ['a', 1]"),
+    ('{"sim": {"walk_speed": true}}', "sim: walk_speed must be a number, got True"),
+    ('{"mode": 1}', "mode must be a string, got 1")])
 def test_bad_pipeline_config_is_exit_1(capsys, caplog, tmp_path, text, message):
     config = tmp_path / "config.json"
     config.write_text(text, encoding="utf-8")

@@ -107,6 +107,16 @@ def test_config_section_keeps_the_pipeline_defaults(tmp_path):
     assert (cfg.skipgram.vector_size, cfg.skipgram.window) == (64, 5)
 
 
+def test_config_values_keep_their_json_types(tmp_path):
+    # A float setting takes an integer; roots become a tuple of strings.
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": 3, "sim": {"walk_speed": 2}, '
+                      '"walk": {"roots": ["a"], "exhaustive": true}}')
+    cfg = PipelineConfig.from_json(config)
+    assert (cfg.seed, cfg.sim.walk_speed) == (3, 2)
+    assert (cfg.walk.roots, cfg.walk.exhaustive) == (("a",), True)
+
+
 def test_one_sort_per_run_and_the_same_log(tmp_path, monkeypatch):
     sorts, messages = [], []
     real = rdf._canonical_order

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vh2kg.errors import MalformedStep, MissingHeader, UnknownVerb
-from vh2kg.scripts import (ActivityScript, ObjectRef, Step, normalize_verb,
-                           parse_script, serialize_script, validate_vocabulary)
+from vh2kg.scripts import (DEFAULT_VERBS, ActivityScript, ObjectRef, Step,
+                           normalize_verb, parse_script, serialize_script,
+                           validate_vocabulary)
 
 SAMPLE = """Brush teeth
 Clean teeth at the bathroom sink.
@@ -38,6 +39,11 @@ def test_verb_normalization_variants():
     assert normalize_verb("TURNT0") == "turnTo"
     assert normalize_verb("PUTOBJBACK") == "putBack"
     assert normalize_verb("STANDUP") == "standUp"
+
+
+def test_every_vocabulary_verb_normalizes_from_upper_case():
+    for verb in DEFAULT_VERBS:
+        assert normalize_verb(verb.upper()) == verb
 
 
 def test_unknown_verb_strict():

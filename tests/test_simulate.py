@@ -11,9 +11,10 @@ from vh2kg.errors import Unexecutable
 from vh2kg.fixtures import fixture_path, load_fixture_environment
 from vh2kg.home import RelationEdge, load_environment
 from vh2kg.scripts import ActivityScript, ObjectRef, Step
-from vh2kg.simulate import (DurationModel, SimConfig, StepFailure,
-                            check_executable, execute_step, initial_state,
-                            recompute_relations, run_script, trace_to_json)
+from vh2kg.simulate import (DurationModel, ExecutabilityReport, SimConfig,
+                            StepFailure, Trace, check_executable, execute_step,
+                            initial_state, recompute_relations, run_script,
+                            trace_to_json)
 
 
 def build_env(extra_nodes=(), extra_edges=()):
@@ -193,6 +194,49 @@ def test_repair_mode_inserts_walk():
     assert verbs == ["walk", "grab"]
     assert trace.transitions[0].step.inserted
     assert not trace.transitions[1].step.inserted
+
+
+def test_close_needs_the_open_affordance():
+    box = {"id": 9, "class_name": "box", "states": ["OPEN"], "properties": [],
+           "bounding_box": {"center": [1.0, 0.5, 0.0], "size": [0.5, 0.5, 0.5]}}
+    env = build_env([box], [inside(9)])
+    report = check_executable(script_of(Step("close", ObjectRef("box", 9))), env,
+                              affordance_table={"box": frozenset({"close"})})
+    assert (report.reason, report.detail) == ("NoAffordance", "box does not afford open")
+
+
+@pytest.mark.parametrize("verb", ["touch", "watch", "lookAt", "turnTo"])
+def test_reach_only_verbs_require_close(verb):
+    env = build_env([mug_at(5.0, 0.0)], [inside(3)])
+    report = check_executable(script_of(Step(verb, ObjectRef("mug", 3))), env)
+    assert (report.reason, report.detail) == ("NotClose", "agent not close to mug#3")
+    near = build_env([mug_at(1.0, 0.0)], [inside(3)])
+    assert check_executable(script_of(Step(verb, ObjectRef("mug", 3))), near).executable
+
+
+def test_repair_retries_only_the_failing_step(monkeypatch):
+    # execute_step runs once per recorded transition and once per failed
+    # attempt: the steps before the far grab are not run again.
+    far = dict(mug_at(5.0, 0.0), id=4)
+    env = build_env([mug_at(1.0, 0.0), far], [inside(3), inside(4)])
+    calls = []
+    step = simulate.execute_step
+
+    def counted(*args, **kwargs):
+        try:
+            result = step(*args, **kwargs)
+        except StepFailure:
+            calls.append("failed")
+            raise
+        calls.append("ok")
+        return result
+
+    monkeypatch.setattr(simulate, "execute_step", counted)
+    trace = run_script(script_of(Step("grab", ObjectRef("mug", 3)),
+                                 Step("touch", ObjectRef("mug", 3)),
+                                 Step("grab", ObjectRef("mug", 4))), env, mode="repair")
+    assert [t.step.verb for t in trace.transitions] == ["grab", "touch", "walk", "grab"]
+    assert calls == ["ok", "ok", "failed", "ok", "ok"]
 
 
 def test_situation_count_and_positive_durations(base_runs):
@@ -479,3 +523,67 @@ def test_changed_ids_match_diff_on_every_step(scene, scripts, affordance_table):
             steps += len(trace.transitions)
             changed += sum(map(len, (t.changed_object_ids for t in trace.transitions)))
     assert steps > 150 and changed > steps / 2  # ~170 steps per scene
+
+
+# --- one-pass repair against the restart-from-scratch oracle --------------
+
+def restart_repair(script, env, affordance_table):
+    """Repair mode as a restart loop: after each inserted walk, run the
+    whole script again from the first situation, giving each step at most
+    one walk."""
+    current = script
+    repaired = set()  # indices already given an inserted walk
+    start = initial_state(env)
+    while True:
+        situations, transitions, failure = [start], [], None
+        for idx, step in enumerate(current.steps):
+            try:
+                state, record = execute_step(situations[-1], step, DurationModel(),
+                                             affordance_table, step_index=idx)
+            except StepFailure as exc:
+                failure = (idx, step, exc)
+                break
+            situations.append(state)
+            transitions.append(record)
+        if failure is None:
+            return Trace(current, tuple(situations), tuple(transitions))
+        idx, step, exc = failure
+        if (exc.reason == "NotClose" and step.main_object is not None
+                and idx not in repaired):
+            steps = list(current.steps)
+            steps.insert(idx, Step("walk", step.main_object, inserted=True))
+            current = replace(current, steps=steps)
+            repaired = {i + 1 if i >= idx else i for i in repaired} | {idx + 1}
+            continue
+        raise Unexecutable(ExecutabilityReport(False, idx, exc.reason, exc.detail))
+
+
+def repair_outcome(run, script, env, affordance_table):
+    try:
+        return run(script, env, affordance_table)
+    except Unexecutable as exc:
+        return exc.report
+
+
+@pytest.mark.parametrize("scene", DIFF_SCENES)
+def test_repair_matches_restart_oracle(scene, scripts, affordance_table):
+    """Every fixture script without its walks, in script order and in three
+    shuffled orders: one-pass repair gives the oracle's trace, or its
+    report."""
+    env = DIFF_SCENES[scene]()
+    rng = random.Random(scene)
+    one_pass = lambda script, env, table: run_script(  # noqa: E731
+        script, env, mode="repair", affordance_table=table)
+    repaired = failed = 0
+    for script in scripts:
+        walkless = [s for s in script.steps if s.verb != "walk"]
+        orders = [walkless] + [rng.sample(walkless, len(walkless)) for _ in range(3)]
+        for steps in orders:
+            run = replace(script, steps=steps)
+            got = repair_outcome(one_pass, run, env, affordance_table)
+            assert got == repair_outcome(restart_repair, run, env, affordance_table)
+            if isinstance(got, Trace):
+                repaired += any(s.inserted for s in got.script.steps)
+            else:
+                failed += 1
+    assert repaired > 40 and failed > 15  # ~54 and ~22 per scene
