@@ -20,6 +20,8 @@ class KMeansConfig:
             raise BadConfig("k must be >= 1")
         if self.max_iters < 1:
             raise BadConfig("max_iters must be >= 1")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise BadConfig("seed must be >= 0")
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import analytics, risk
 from .cluster import KMeansConfig, clusters_csv, kmeans
-from .errors import BadConfig, MissingSetting
+from .errors import BadConfig, MissingSetting, NoRoots
 from .home import EnvironmentGraph, check_name
 from .rdf import (KgDocument, augmented_lines, graph_stats, ntriples_lines,
                   sorted_positions, turtle_header, turtle_lines, write_lines)
@@ -59,6 +59,8 @@ class PipelineConfig:
         if self.mode not in MODES:
             raise BadConfig(f"unknown mode {self.mode!r}; choose from {', '.join(MODES)}")
         check_name("scene id", self.scene_id)
+        if self.seed < 0:
+            raise BadConfig("seed must be >= 0")
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -81,8 +83,9 @@ def _from_dict(default, raw, where: str):
     """The dataclass instance ``default`` with the keys of the JSON object
     ``raw`` applied.  Each value is read as the type of the default it
     replaces: a nested object is applied to that section's default, a list
-    becomes a tuple or frozenset, a scalar must have the default's type (a
-    number may replace a float), and ``walk.roots`` takes a list of strings.
+    setting (``walk.roots`` included) takes a list of strings and keeps it as
+    a tuple or frozenset, and a scalar must have the default's type (a
+    number may replace a float).
     An error names its place: ``where``, then the section keys down to the
     bad value."""
     if not isinstance(raw, dict):
@@ -100,20 +103,17 @@ def _from_dict(default, raw, where: str):
                     raise BadConfig(f"{key}: seed is not read here; "
                                     "set the top-level seed")
                 value = _from_dict(current, value, key)
-            elif kind in (tuple, frozenset):
-                if isinstance(value, str):
-                    raise ValueError(f"{key} must be a list, not a string")
-                value = kind(value)
+            elif kind in (tuple, frozenset) or (current is None and value is not None):
+                # every list setting; walk.roots defaults to None
+                if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                    raise ValueError(f"{key} must be a list of strings, got {value!r}")
+                value = (frozenset if kind is frozenset else tuple)(value)
             elif kind is dict and not isinstance(value, dict):
                 raise ValueError(f"{key} must be a JSON object")
             elif kind in _SCALARS:
                 # type(), not isinstance(): JSON true is no integer here
                 if type(value) not in ((int, float) if kind is float else (kind,)):
                     raise ValueError(f"{key} must be {_SCALARS[kind]}, got {value!r}")
-            elif current is None and value is not None:  # walk.roots
-                if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                    raise ValueError(f"{key} must be a list of strings, got {value!r}")
-                value = tuple(value)
             values[key] = value
         return replace(default, **values)
     except (TypeError, ValueError) as exc:
@@ -210,7 +210,6 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
         from .home import filter_affordances, read_affordance_csv
         affordance_table = filter_affordances(read_affordance_csv(cfg.affordance_file))
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     log(f"simulating {len(scripts)} scripts")
     runs = simulate_corpus(scripts, env, cfg.duration, cfg.mode, cfg.sim,
@@ -223,6 +222,11 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
         doc.update(activity_doc)
         names.append(IriFactory.for_meta(meta).local)
         parts.append(list(activity_doc.triples))
+    # the index is the one detect_risks reads
+    missing = [r for r in cfg.walk.roots or () if r not in doc.index().by_subject]
+    if missing:
+        raise NoRoots(f"walk root(s) not in the corpus: {', '.join(missing)}")
+    out.mkdir(parents=True, exist_ok=True)
     manifest = {"activities": [str(out / f"{name}.{fmt}") for name in names
                                for fmt in FORMATS if fmt in cfg.formats]}
 

@@ -6,6 +6,15 @@ agent's body center.  Both look only at the situation before the event and
 use strict inequalities.  The equivalent SPARQL texts ship as fixture files
 for external triplestores.
 
+Both evaluators feed one finding builder, ``_findings``: ``eval_rules_kg``
+reads each event's facts from a graph index, ``eval_rules_trace`` from a
+simulation trace.  The trace side compares the numbers the KG stores (each
+value through ``rdf.decimal``, read back), not the simulator's raw floats:
+those are what the graph and its SPARQL users see, and a raw sum within an
+ulp of a threshold would otherwise flip a rule between the two.  So each
+activity's trace findings, paths included, are exactly ``eval_rules_kg``'s
+on its reparsed graph.
+
 The shipped r1.rq/r2.rq read an object's height from the static
 ``:height/rdf:value``, while ``_geometry`` reads the y size of the live state
 shape.  The two agree only because the simulator never resizes a bbox; a
@@ -19,9 +28,9 @@ from dataclasses import dataclass
 
 from . import schema as S
 from .errors import MissingGeometry, VH2KGError
-from .rdf import KgDocument, KgIndex, Literal
+from .rdf import KgDocument, KgIndex, Literal, decimal
 from .simulate import Trace
-from .synth import ActivityMeta, IriFactory, state_indices
+from .synth import ActivityMeta, IriFactory, node_iri
 
 R1_EXCLUDED_VERBS = frozenset({"walk", "watch", "turnTo", "lookAt"})
 
@@ -108,64 +117,57 @@ def _matches(rule: RiskRule, verb: str, agent_cy, agent_h, obj_cy, obj_h) -> boo
     return obj_cy + 0.5 * obj_h < agent_cy
 
 
-# --- evaluation over traces ---
+# --- one finding builder, two sources of occasions ---
+
+def _findings(occasions, rules) -> list[RiskFinding]:
+    """Findings over ``occasions``, each ``(activity, agent, event, action,
+    situation_before, object_property, object, (agent_cy, agent_h, obj_cy,
+    obj_h))``.  Per ``(event, rule)`` the first matching object is kept;
+    findings come sorted by that key."""
+    found = {}
+    for activity, agent, ev, action, situation, obj_prop, obj, numbers in occasions:
+        verb = action[len(S.ACTION_NS):] if action else ""
+        for rule_id in rules:
+            if (ev, rule_id) in found or not _matches(RULES[rule_id], verb, *numbers):
+                continue
+            found[ev, rule_id] = RiskFinding(
+                activity_iri=activity, event_iri=ev, rule_id=rule_id,
+                agent_iri=agent, object_iri=obj,
+                evidence=_make_evidence(*numbers),
+                explanation_path=((activity, S.HAS_EVENT, ev),
+                                  (ev, S.ACTION, action),
+                                  (ev, obj_prop, obj),
+                                  (ev, S.SITUATION_BEFORE, situation)))
+    return [found[key] for key in sorted(found)]
+
 
 def eval_rules_trace(trace: Trace, meta: ActivityMeta, rules=("R1", "R2"),
                      affordance_table=None) -> list[RiskFinding]:
-    """R1/R2 findings read straight from a trace.
+    """R1/R2 findings read straight from a trace; they equal
+    ``eval_rules_kg`` on the activity's serialized and reparsed graph.
 
-    ``affordance_table`` stays for existing callers and is unused: which
-    objects changed at a step is decided once, by the simulator, in
-    ``changed_object_ids``."""
-    f = IriFactory.for_meta(meta)
-    agent_node = trace.situations[0].graph.agent
-    agent_iri = f.agent()
-    findings = []
+    ``affordance_table`` stays for existing callers and is unused: the
+    rules read geometry only."""
+    return _findings(_trace_occasions(trace, IriFactory.for_meta(meta)), rules)
+
+
+def _trace_occasions(trace: Trace, f: IriFactory):
+    activity, agent_iri = f.activity(), f.agent()
+    agent_id = trace.situations[0].graph.agent.id
     for n, tr in enumerate(trace.transitions):
         pre = trace.situations[n].graph
-        agent = pre.node(agent_node.id)
-        refs = [(S.MAIN_OBJECT, tr.step.main_object),
-                (S.TARGET_OBJECT, tr.step.target_object)]
-        for obj_prop, ref in refs:
-            if ref is None:
-                continue
-            node = pre.node(ref.id)
-            if node.is_room:
+        agent = pre.node(agent_id)
+        for obj_prop, ref in ((S.MAIN_OBJECT, tr.step.main_object),
+                              (S.TARGET_OBJECT, tr.step.target_object)):
+            if ref is None or (node := pre.node(ref.id)).is_room:
                 continue
             if node.bbox.size == (0.0, 0.0, 0.0):
                 raise MissingGeometry(f"{node.class_name}#{node.id} has no geometry")
-            for rule_id in rules:
-                rule = RULES[rule_id]
-                if not _matches(rule, tr.step.verb, agent.bbox.center[1],
-                                agent.height_meters, node.bbox.center[1],
-                                node.height_meters):
-                    continue
-                ev = f.event(n)
-                sit = f.situation(n)
-                obj_iri = f.object(node)
-                a_minted = state_indices(trace, agent.id)[n]
-                o_minted = state_indices(trace, node.id)[n]
-                a_state = f.state(a_minted, agent)
-                o_state = f.state(o_minted, node)
-                path = (
-                    (f.activity(), S.HAS_EVENT, ev),
-                    (ev, S.ACTION, S.action_iri(tr.step.verb)),
-                    (ev, obj_prop, obj_iri),
-                    (ev, S.SITUATION_BEFORE, sit),
-                    (a_state, S.IS_STATE_OF, agent_iri),
-                    (a_state, S.PART_OF, sit),
-                    (a_state, S.BBOX, f.shape(a_minted, agent)),
-                    (o_state, S.IS_STATE_OF, obj_iri),
-                    (o_state, S.PART_OF, sit),
-                    (o_state, S.BBOX, f.shape(o_minted, node)),
-                )
-                findings.append(RiskFinding(
-                    activity_iri=f.activity(), event_iri=ev, rule_id=rule.id,
-                    agent_iri=agent_iri, object_iri=obj_iri,
-                    evidence=_make_evidence(agent.bbox.center[1], agent.height_meters,
-                                            node.bbox.center[1], node.height_meters),
-                    explanation_path=path))
-    return _dedupe(findings)
+            numbers = (agent.bbox.center[1], agent.height_meters,
+                       node.bbox.center[1], node.height_meters)
+            yield (activity, agent_iri, f.event(n), S.action_iri(tr.step.verb),
+                   f.situation(n), obj_prop, node_iri(f, node),
+                   tuple(float(decimal(v).lexical) for v in numbers))  # as stored
 
 
 # --- evaluation over knowledge graphs ---
@@ -206,41 +208,22 @@ def _geometry(idx: KgIndex, entity: str, situation: str) -> tuple[float, float]:
 
 
 def eval_rules_kg(doc: KgDocument, rules=("R1", "R2")) -> list[RiskFinding]:
-    idx = doc.index()
-    findings = []
+    return _findings(_kg_occasions(doc.index()), rules)
+
+
+def _kg_occasions(idx: KgIndex):
     for activity in sorted(set(idx.subjects(S.HAS_EVENT))):
         agent = idx.object(activity, S.AGENT)
         for ev in sorted(idx.objects(activity, S.HAS_EVENT)):
             action = idx.object(ev, S.ACTION)
-            verb = action[len(S.ACTION_NS):] if action else ""
             situation = idx.object(ev, S.SITUATION_BEFORE)
             for obj_prop in (S.MAIN_OBJECT, S.TARGET_OBJECT):
                 for obj in idx.objects(ev, obj_prop):
                     if S.ROOM in idx.objects(obj, S.RDF_TYPE):
                         continue
-                    a_cy, a_h = _geometry(idx, agent, situation)
-                    o_cy, o_h = _geometry(idx, obj, situation)
-                    for rule_id in rules:
-                        rule = RULES[rule_id]
-                        if not _matches(rule, verb, a_cy, a_h, o_cy, o_h):
-                            continue
-                        path = ((activity, S.HAS_EVENT, ev),
-                                (ev, S.ACTION, action),
-                                (ev, obj_prop, obj),
-                                (ev, S.SITUATION_BEFORE, situation))
-                        findings.append(RiskFinding(
-                            activity_iri=activity, event_iri=ev, rule_id=rule.id,
-                            agent_iri=agent, object_iri=obj,
-                            evidence=_make_evidence(a_cy, a_h, o_cy, o_h),
-                            explanation_path=path))
-    return _dedupe(findings)
-
-
-def _dedupe(findings: list[RiskFinding]) -> list[RiskFinding]:
-    seen = {}
-    for finding in findings:
-        seen.setdefault(finding.key(), finding)
-    return sorted(seen.values(), key=lambda x: (x.event_iri, x.rule_id))
+                    yield (activity, agent, ev, action, situation, obj_prop, obj,
+                           (*_geometry(idx, agent, situation),
+                            *_geometry(idx, obj, situation)))
 
 
 def detect_risks(doc: KgDocument, rules=("R1", "R2")):

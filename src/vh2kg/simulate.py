@@ -61,6 +61,8 @@ class DurationModel:
         if not self.default_seconds > 0:
             raise BadConfig("default_seconds must be > 0")
         for verb, value in self.per_verb_seconds.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise BadConfig(f"per_verb_seconds: {verb} must be a number, got {value!r}")
             if not value > 0:
                 raise BadConfig(f"per_verb_seconds: {verb} must be > 0")
 

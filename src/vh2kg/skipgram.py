@@ -41,6 +41,8 @@ class SkipGramConfig:
             raise BadConfig("learning_rate must be > 0")
         if self.negative_samples < 0:
             raise BadConfig("negative_samples must be >= 0")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise BadConfig("seed must be >= 0")
 
 
 @dataclass

@@ -88,7 +88,8 @@ class IriFactory:
         return EX + self.scene
 
 
-def _node_iri(factory: IriFactory, node: ObjectNode) -> str:
+def node_iri(factory: IriFactory, node: ObjectNode) -> str:
+    """The IRI that names ``node`` in the graph: the agent's or an object's."""
     return factory.agent() if node.is_agent else factory.object(node)
 
 
@@ -156,9 +157,9 @@ def _emit_activity(trace: Trace, meta: ActivityMeta,
         if n == n_events - 1:
             add((ev, S.RDF_TYPE, S.END_EVENT))
         if tr.step.main_object is not None:
-            add((ev, S.MAIN_OBJECT, _node_iri(f, env0.node(tr.step.main_object.id))))
+            add((ev, S.MAIN_OBJECT, node_iri(f, env0.node(tr.step.main_object.id))))
         if tr.step.target_object is not None:
-            add((ev, S.TARGET_OBJECT, _node_iri(f, env0.node(tr.step.target_object.id))))
+            add((ev, S.TARGET_OBJECT, node_iri(f, env0.node(tr.step.target_object.id))))
         if n > 0:
             add((ev, S.PREVIOUS_EVENT, events[n - 1]))
         if n < n_events - 1:
@@ -229,7 +230,7 @@ def _node_table(env0: EnvironmentGraph, f: IriFactory, affordance_table) -> tupl
         return table
     rows = []
     for node in env0.nodes:
-        iri = _node_iri(f, node)
+        iri = node_iri(f, node)
         scene_triples = [(iri, S.RDF_TYPE, S.HO + node.class_name)]
         if node.is_room:
             scene_triples.append((iri, S.RDF_TYPE, S.ROOM))

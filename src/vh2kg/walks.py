@@ -40,6 +40,8 @@ class WalkConfig:
             raise BadConfig("walks_per_entity must be >= 1")
         if self.wl_iterations < 0:
             raise BadConfig("wl_iterations must be >= 0")
+        if self.roots is not None and not self.roots:
+            raise BadConfig("roots must not be empty")
 
 
 # Walk tokens include literal lexical forms, so a token may hold the

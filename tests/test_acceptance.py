@@ -133,13 +133,16 @@ def test_04_structural_suite(capsys, base_doc, base_runs):
 
 def test_05_dual_evaluation(capsys, base_runs, base_doc, fp_runs, fp_doc,
                             affordance_table):
+    counts = []
     for runs, doc in ((base_runs, base_doc), (fp_runs, fp_doc)):
-        from_traces = {f.key() for f in trace_findings(runs, affordance_table)}
+        from_traces = sorted(trace_findings(runs, affordance_table), key=RiskFinding.key)
         reparsed = parse_ntriples(serialize_ntriples(doc))
-        from_kg = {f.key() for f in eval_rules_kg(reparsed)}
+        from_kg = eval_rules_kg(reparsed)
         assert from_traces == from_kg
-    report(capsys, 5, "trace-level and reparsed-KG rule findings identical "
-           "on both fixture environments")
+        counts.append(len(from_kg))
+    report(capsys, 5, "trace-level and reparsed-KG rule findings identical, "
+           f"paths and evidence included, on both fixture environments ({counts[0]} "
+           f"and {counts[1]} findings)")
 
 
 def test_06_skipgram_numerics(capsys):

@@ -121,7 +121,10 @@ def test_embed_and_cluster(capsys, tmp_path):
     (("walks", "{graph}", "--depth", "0"), "depth must be >= 1"),
     (("embed", "{graph}", "--dims", "0"), "vector_size must be >= 1"),
     (("embed", "{graph}", "--epochs", "0"), "epochs must be >= 1"),
-    (("cluster", "{vectors}", "-k", "0"), "k must be >= 1")])
+    (("cluster", "{vectors}", "-k", "0"), "k must be >= 1"),
+    (("cluster", "{vectors}", "-k", "1", "--seed", "-1"), "seed must be >= 0"),
+    (("embed", "{graph}", "--seed", "-1"), "seed must be >= 0"),
+    (("pipeline", "--seed", "-1", "-o", "{graph}.out"), "seed must be >= 0")])
 def test_out_of_range_flag_is_exit_1(capsys, caplog, tmp_path, argv, message):
     graph, vectors = tmp_path / "g.nt", tmp_path / "v.tsv"
     graph.write_text("<http://x/a> <http://x/p> <http://x/b> .\n", encoding="utf-8")
@@ -237,8 +240,8 @@ def test_pipeline_names_the_unset_flag(capsys, caplog, tmp_path, flags, unset):
     ('{"seeed": 3}', "unknown key(s) seeed"),
     ('{"walk": {"depth": 0}}', "walk: depth must be >= 1"),
     ('{"walk": {"seed": 5}}', "walk: seed is not read here; set the top-level seed"),
-    ('{"formats": 3}', "not iterable"),
-    ('{"formats": "nt"}', "formats must be a list, not a string"),
+    ('{"formats": 3}', "formats must be a list of strings, got 3"),
+    ('{"formats": "nt"}', "formats must be a list of strings, got 'nt'"),
     ('{"formats": ["nt", "xml"]}', "unknown format(s) 'xml'; choose from nt, ttl"),
     ('["seed"]', "expected a JSON object"),
     ('{"duration": {"default_seconds": -1}}', "duration: default_seconds must be > 0"),
@@ -246,6 +249,10 @@ def test_pipeline_names_the_unset_flag(capsys, caplog, tmp_path, flags, unset):
      "duration: per_verb_seconds: grab must be > 0"),
     ('{"duration": {"per_verb_seconds": [1]}}',
      "duration: per_verb_seconds must be a JSON object"),
+    ('{"duration": {"per_verb_seconds": {"grab": true}}}',
+     "duration: per_verb_seconds: grab must be a number, got True"),
+    ('{"duration": {"per_verb_seconds": {"grab": "x"}}}',
+     "duration: per_verb_seconds: grab must be a number, got 'x'"),
     ('{"sim": {"walk_speed": 0}}', "sim: walk_speed must be > 0"),
     ('{"sim": {"walk_speed": NaN}}', "sim: walk_speed must be > 0"),
     ('{"mode": "fast"}', "unknown mode 'fast'; choose from strict, repair"),
@@ -257,10 +264,14 @@ def test_pipeline_names_the_unset_flag(capsys, caplog, tmp_path, flags, unset):
     ('{"seed": "x"}', "seed must be an integer, got 'x'"),
     ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
     ('{"seed": true}', "seed must be an integer, got True"),
+    ('{"seed": -1}', "seed must be >= 0"),
     ('{"walk": {"depth": "4"}}', "walk: depth must be an integer, got '4'"),
     ('{"walk": {"exhaustive": "yes"}}', "walk: exhaustive must be true or false, got 'yes'"),
     ('{"walk": {"roots": 5}}', "walk: roots must be a list of strings, got 5"),
     ('{"walk": {"roots": ["a", 1]}}', "walk: roots must be a list of strings, got ['a', 1]"),
+    ('{"walk": {"roots": []}}', "walk: roots must not be empty"),
+    ('{"walk": {"skip_predicates": [[1]]}}',
+     "walk: skip_predicates must be a list of strings, got [[1]]"),
     ('{"sim": {"walk_speed": true}}', "sim: walk_speed must be a number, got True"),
     ('{"mode": 1}', "mode must be a string, got 1")])
 def test_bad_pipeline_config_is_exit_1(capsys, caplog, tmp_path, text, message):

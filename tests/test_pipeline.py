@@ -11,6 +11,7 @@ import pytest
 from vh2kg import rdf
 from vh2kg import schema as S
 from vh2kg.cli import main
+from vh2kg.errors import NoRoots
 from vh2kg.fixtures import fixture_path
 from vh2kg.pipeline import PipelineConfig, run_pipeline, simulate_corpus
 from vh2kg.rdf import (EX, KgDocument, KgIndex, serialize_ntriples,
@@ -115,6 +116,15 @@ def test_config_values_keep_their_json_types(tmp_path):
     cfg = PipelineConfig.from_json(config)
     assert (cfg.seed, cfg.sim.walk_speed) == (3, 2)
     assert (cfg.walk.roots, cfg.walk.exhaustive) == (("a",), True)
+
+
+def test_roots_outside_the_corpus_write_nothing(tmp_path):
+    out = tmp_path / "out"
+    cfg = small_config(output_dir=str(out), **FILES)
+    cfg = replace(cfg, walk=replace(cfg.walk, roots=(EX + "carry_box0_scene1", "x")))
+    with pytest.raises(NoRoots, match="walk root\\(s\\) not in the corpus: x$"):
+        run_pipeline(cfg)
+    assert not out.exists()
 
 
 def test_one_sort_per_run_and_the_same_log(tmp_path, monkeypatch):

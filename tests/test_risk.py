@@ -6,10 +6,14 @@ import pytest
 from vh2kg import risk
 from vh2kg import schema as S
 from vh2kg.rdf import KgDocument, KgIndex, parse_ntriples, serialize_ntriples
-from vh2kg.risk import (R1, R2, RISK_TAXONOMY, _matches, detect_risks,
+from vh2kg.risk import (R1, R2, RISK_TAXONOMY, RiskFinding, _matches, detect_risks,
                         eval_rules_kg, eval_rules_trace, explain,
                         findings_from_json, findings_to_json)
-from vh2kg.synth import build_activity_kg
+from vh2kg.fixtures import fixture_path
+from vh2kg.home import load_environment
+from vh2kg.scripts import parse_script
+from vh2kg.simulate import run_script
+from vh2kg.synth import ActivityMeta, build_activity_kg
 
 
 def test_r1_strict_inequality():
@@ -53,19 +57,44 @@ def test_base_env_findings_match_ground_truth(base_runs, affordance_table,
     assert found == {(e, r) for e, r in ground_truth.items()}
 
 
+def kg_findings(doc):
+    return eval_rules_kg(parse_ntriples(serialize_ntriples(doc)))
+
+
 def test_dual_evaluation_base(base_runs, base_doc, affordance_table):
-    from_traces = {f.key() for f in trace_findings(base_runs, affordance_table)}
-    reparsed = parse_ntriples(serialize_ntriples(base_doc))
-    from_kg = {f.key() for f in eval_rules_kg(reparsed)}
-    assert from_traces == from_kg
+    from_traces = sorted(trace_findings(base_runs, affordance_table), key=RiskFinding.key)
+    assert from_traces == kg_findings(base_doc)
+    assert len(from_traces) == 6
 
 
 def test_dual_evaluation_fp(fp_runs, fp_doc, affordance_table):
-    from_traces = {f.key() for f in trace_findings(fp_runs, affordance_table)}
-    reparsed = parse_ntriples(serialize_ntriples(fp_doc))
-    from_kg = {f.key() for f in eval_rules_kg(reparsed)}
-    assert from_traces == from_kg
-    assert len(from_kg) == 10
+    from_traces = sorted(trace_findings(fp_runs, affordance_table), key=RiskFinding.key)
+    assert from_traces == kg_findings(fp_doc)
+    assert len(from_traces) == 10
+
+
+def test_rules_read_the_stored_numbers(affordance_table):
+    """A raised desk puts the mug's top one ulp above the agent's top.
+
+    putBack sets the mug's center y to 1.27 + 0.265 = 1.5350000000000001,
+    so its raw top is 1.8000000000000003; the KG stores 1.535, whose top is
+    the agent's 1.8.  Both evaluators compare the stored numbers, so
+    neither flags the final grab."""
+    document = json.loads(fixture_path("environment.json").read_text())
+    nodes = {n["id"]: n for n in document["nodes"]}
+    nodes[110]["bounding_box"]["center"][1] = 0.3
+    nodes[110]["bounding_box"]["size"][1] = 1.94
+    nodes[196]["bounding_box"]["size"][1] = 0.53
+    env = load_environment(document)
+    script = parse_script("Raised desk\n\n[WALK] <desk> (110)\n[GRAB] <mug> (196)\n"
+                          "[PUTBACK] <mug> (196) <desk> (110)\n[GRAB] <mug> (196)\n")
+    trace = run_script(script, env, affordance_table=affordance_table)
+    before_grab = trace.situations[3].graph
+    assert before_grab.node(196).bbox.top > before_grab.agent.bbox.top  # raw floats
+    meta = ActivityMeta(script.name)
+    from_traces = eval_rules_trace(trace, meta)
+    assert from_traces == kg_findings(build_activity_kg(trace, meta, affordance_table))
+    assert from_traces == []
 
 
 def test_detect_risks_augments_graph(base_doc):
