@@ -19,9 +19,9 @@ print(f"  {script.description}")
 trace = run_script(script, env, affordance_table=affordances)
 
 print(f"\nexecuted in {trace.total_seconds:.1f} simulated seconds")
-for tr in trace.transitions:
+for n, tr in enumerate(trace.transitions):
     target = tr.step.main_object.name if tr.step.main_object else "-"
-    print(f"  step {tr.step_index}: {tr.step.verb:<10} {target:<16} "
+    print(f"  step {n}: {tr.step.verb:<10} {target:<16} "
           f"{tr.duration_seconds:6.2f}s  changed={sorted(tr.changed_object_ids)}")
 
 final = trace.situations[-1].graph

@@ -6,8 +6,7 @@ risks, and embeds the resulting graphs for clustering and analysis.
 """
 
 from .cluster import KMeansConfig, kmeans, kmeans_history
-from .errors import (MalformedStep, MissingGeometry, Unexecutable,
-                     UnknownVerb, VH2KGError)
+from .errors import MalformedStep, MissingGeometry, Unexecutable, VH2KGError
 from .home import (BoundingBox, EnvironmentGraph, ObjectNode, RelationEdge,
                    afforded_verbs, dump_environment, filter_affordances,
                    load_environment, load_environment_file,

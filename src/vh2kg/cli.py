@@ -29,7 +29,7 @@ from .simulate import DurationModel, check_executable, run_script, trace_to_json
 from .skipgram import (SkipGramConfig, cosine_neighbors, export_vectors,
                        parse_vectors, train_skipgram)
 from .synth import ActivityMeta, build_activity_kg
-from .walks import WalkConfig, _escape_token, activity_roots, wl_relabel
+from .walks import WalkConfig, _escape_token, root_rows, wl_relabel
 
 log = logging.getLogger("vh2kg")
 
@@ -187,10 +187,8 @@ def cmd_cluster(args):
     cfg = KMeansConfig(k=args.k, seed=args.seed)
     tokens, matrix = parse_vectors(Path(args.vectors).read_text(encoding="utf-8"))
     if args.roots:
-        roots = set(activity_roots(_read_graph(args.roots)))
-        keep = [i for i, t in enumerate(tokens) if t in roots]
-        tokens = [tokens[i] for i in keep]
-        matrix = matrix[keep]
+        tokens, rows = root_rows(_read_graph(args.roots), tokens)
+        matrix = matrix[rows]
     assignments, _, inertia = kmeans(matrix, cfg)
     sys.stdout.write(clusters_csv(tokens, assignments))
     log.info("inertia %.6f", inertia)

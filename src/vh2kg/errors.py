@@ -18,14 +18,6 @@ class MissingHeader(VH2KGError):
     pass
 
 
-class UnknownVerb(VH2KGError):
-    def __init__(self, token, line_no=None):
-        self.token = token
-        self.line_no = line_no
-        where = f" at line {line_no}" if line_no is not None else ""
-        super().__init__(f"unknown action verb {token!r}{where}")
-
-
 # --- environment loading ---
 
 class DuplicateId(VH2KGError):

@@ -20,11 +20,11 @@ def load_fixture_environment(false_positive_geometry: bool = False) -> Environme
     return load_environment_file(fixture_path(name))
 
 
-def load_scripts_dir(directory, meta_file=None) -> list[ActivityScript]:
+def load_scripts_dir(directory) -> list[ActivityScript]:
     """Parse every .txt script in a directory, applying category metadata
     from the sibling scripts_meta.json when present."""
     directory = Path(directory)
-    meta_file = Path(meta_file) if meta_file else directory.parent / "scripts_meta.json"
+    meta_file = directory.parent / "scripts_meta.json"
     meta = {}
     if meta_file.exists():
         meta = json.loads(meta_file.read_text())
@@ -38,12 +38,11 @@ def load_scripts_dir(directory, meta_file=None) -> list[ActivityScript]:
 
 
 def load_fixture_scripts() -> list[ActivityScript]:
-    return load_scripts_dir(fixture_path("scripts"), fixture_path("scripts_meta.json"))
+    return load_scripts_dir(fixture_path("scripts"))
 
 
-def load_fixture_affordance_table(threshold: float = 4.0):
-    return filter_affordances(read_affordance_csv(fixture_path("affordances.csv")),
-                              threshold)
+def load_fixture_affordance_table():
+    return filter_affordances(read_affordance_csv(fixture_path("affordances.csv")))
 
 
 def load_fixture_ground_truth() -> dict[str, str]:

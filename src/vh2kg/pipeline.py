@@ -24,7 +24,7 @@ from .scripts import ActivityScript
 from .simulate import MODES, DurationModel, SimConfig, Trace, run_script
 from .skipgram import SkipGramConfig, export_vectors, train_skipgram
 from .synth import ActivityMeta, IriFactory, build_activity_kg, snake_case
-from .walks import WalkConfig, wl_relabel
+from .walks import WalkConfig, root_rows, wl_relabel
 
 
 #: Per-activity file formats, in the order they are written.
@@ -181,8 +181,8 @@ def _write_graphs(out: Path, doc: KgDocument, risk_doc: KgDocument,
             write_lines(out / f"{name}.nt", map(lines.__getitem__, at))
     del lines
     if "ttl" in formats:
-        lines = turtle_lines(order, doc.prefixes)
-        header = turtle_header(doc.prefixes)
+        lines = turtle_lines(order)
+        header = turtle_header()
         for name, at in activities:
             write_lines(out / f"{name}.ttl", map(lines.__getitem__, at), header)
 
@@ -252,12 +252,9 @@ def run_pipeline(cfg: PipelineConfig, scripts=None, env=None,
     model, losses = train_skipgram(corpus, cfg.skipgram)
     (out / "vectors.tsv").write_text(export_vectors(model), encoding="utf-8")
 
-    from .walks import activity_roots
-    roots = [r for r in activity_roots(doc) if r in model.index]
+    roots, rows = root_rows(doc, model.vocab)
     if len(roots) >= cfg.kmeans.k:
-        import numpy as np
-        points = np.stack([model.vector(r) for r in roots])
-        assignments, _, inertia = kmeans(points, cfg.kmeans)
+        assignments, _, inertia = kmeans(model.input_vectors[rows], cfg.kmeans)
         (out / "clusters.csv").write_text(clusters_csv(roots, assignments),
                                           encoding="utf-8")
         report["clustering_inertia"] = inertia

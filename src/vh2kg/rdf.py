@@ -1,9 +1,9 @@
 """Minimal RDF model with deterministic N-Triples / Turtle serialization.
 
-Documents are insertion-ordered triple sets plus a prefix table, so every
-whole-graph pass visits triples in the order they were made, whatever the
-hash seed.  A corpus is its activity documents merged with ``update``; a
-triple that several of them hold is kept once, as the first one's object.
+Documents are insertion-ordered triple sets, so every whole-graph pass
+visits triples in the order they were made, whatever the hash seed.  A
+corpus is its activity documents merged with ``update``; a triple that
+several of them hold is kept once, as the first one's object.
 Serialization sorts triples by subject, predicate, object so identical
 documents always produce byte-identical output; the sort and the writers
 do their Python-level work per subject, not per triple.  Each writer is a
@@ -104,13 +104,14 @@ def integer(value: int) -> Literal:
     return Literal(str(int(value)), XSD_INT)
 
 
-def _fixed_point(value: float, places: int) -> Literal:
-    # Fixed-point lexical form keeps serialization byte-stable.  xsd:decimal
+def _fixed_point(value: float) -> Literal:
+    # Fixed-point lexical form on one grid of 9 places keeps serialization
+    # byte-stable; the trace rules read numbers back from it.  xsd:decimal
     # has no form for nan or infinity; a finite input can still overflow
     # on the way here (a putBack lands on top of its target).
     if not math.isfinite(value):
         raise InvalidTrace(f"{value!r} has no xsd:decimal form")
-    lex = f"{value:.{places}f}".rstrip("0")
+    lex = f"{value:.9f}".rstrip("0")
     if lex.endswith("."):
         lex += "0"
     return Literal(lex, XSD_DECIMAL)
@@ -119,12 +120,12 @@ def _fixed_point(value: float, places: int) -> Literal:
 _cached_fixed_point = lru_cache(maxsize=1 << 14)(_fixed_point)
 
 
-def decimal(value: float, places: int = 9) -> Literal:
+def decimal(value: float) -> Literal:
     # One object per repeated value.  0.0 and -0.0 are one cache key but
     # print "0.0" and "-0.0", so zero bypasses the cache.
     if value:
-        return _cached_fixed_point(value, places)
-    return _fixed_point(value, places)
+        return _cached_fixed_point(value)
+    return _fixed_point(value)
 
 
 def string(value: str) -> Literal:
@@ -133,7 +134,8 @@ def string(value: str) -> Literal:
 
 @dataclass
 class KgDocument:
-    """An insertion-ordered triple set plus a prefix table.
+    """An insertion-ordered triple set; the serializers abbreviate with
+    ``PREFIXES``.
 
     ``triples`` maps each ``Triple`` to ``None``, in the order added; the
     constructor also takes any iterable of triples.
@@ -143,7 +145,6 @@ class KgDocument:
     edit of ``triples`` is seen only when it replaces the dict or changes
     its size, so mutate through those two.
     """
-    prefixes: dict = field(default_factory=lambda: dict(PREFIXES))
     triples: dict = field(default_factory=dict)
     _views: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -349,16 +350,16 @@ def _qnamer(prefixes: dict):
     return qname
 
 
-def turtle_header(prefixes: dict) -> list[str]:
+def turtle_header() -> list[str]:
     """The lines that open a Turtle text: one ``@prefix`` per entry of
-    ``prefixes``, then a blank line."""
-    return [f"@prefix {prefix}: <{ns}> ." for prefix, ns in prefixes.items()] + [""]
+    ``PREFIXES``, then a blank line."""
+    return [f"@prefix {prefix}: <{ns}> ." for prefix, ns in PREFIXES.items()] + [""]
 
 
-def turtle_lines(triples, prefixes: dict) -> list[str]:
+def turtle_lines(triples) -> list[str]:
     """One Turtle line per triple, for ``triples`` in sorted order, with
-    IRIs abbreviated by one qname table built from ``prefixes``."""
-    qname = _qnamer(prefixes)
+    IRIs abbreviated by one qname table built from ``PREFIXES``."""
+    qname = _qnamer(PREFIXES)
     predicates = {RDF + "type": "a"}
     lines = []
     subject = None
@@ -381,8 +382,7 @@ def turtle_lines(triples, prefixes: dict) -> list[str]:
 
 
 def serialize_turtle(doc: KgDocument) -> str:
-    return _text(turtle_lines(doc.sorted_triples(), doc.prefixes),
-                 turtle_header(doc.prefixes))
+    return _text(turtle_lines(doc.sorted_triples()), turtle_header())
 
 
 _LINES = re.compile(r".*\n?")  # a line and its break; the last match is empty

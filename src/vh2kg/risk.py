@@ -141,14 +141,14 @@ def _findings(occasions, rules) -> list[RiskFinding]:
     return [found[key] for key in sorted(found)]
 
 
-def eval_rules_trace(trace: Trace, meta: ActivityMeta, rules=("R1", "R2"),
+def eval_rules_trace(trace: Trace, meta: ActivityMeta,
                      affordance_table=None) -> list[RiskFinding]:
     """R1/R2 findings read straight from a trace; they equal
     ``eval_rules_kg`` on the activity's serialized and reparsed graph.
 
     ``affordance_table`` stays for existing callers and is unused: the
     rules read geometry only."""
-    return _findings(_trace_occasions(trace, IriFactory.for_meta(meta)), rules)
+    return _findings(_trace_occasions(trace, IriFactory.for_meta(meta)), RULES)
 
 
 def _trace_occasions(trace: Trace, f: IriFactory):
@@ -228,12 +228,11 @@ def _kg_occasions(idx: KgIndex):
 
 def detect_risks(doc: KgDocument, rules=("R1", "R2")):
     """Evaluate rules over a KG; return ``(findings, risk_doc)``, where
-    ``risk_doc`` has ``doc``'s prefixes and only the findings' riskFactor and
-    rdf:type triples.  ``doc`` is left as it is; the augmented graph is
-    the union of both, and ``rdf.augmented_lines`` writes it from ``doc``'s
-    N-Triples lines."""
+    ``risk_doc`` holds only the findings' riskFactor and rdf:type triples.
+    ``doc`` is left as it is; the augmented graph is the union of both, and
+    ``rdf.augmented_lines`` writes it from ``doc``'s N-Triples lines."""
     findings = eval_rules_kg(doc, rules)
-    risk_doc = KgDocument(dict(doc.prefixes))
+    risk_doc = KgDocument()
     for finding in findings:
         risk_doc.add(finding.activity_iri, S.RISK_FACTOR, finding.event_iri)
         risk_doc.add(finding.event_iri, S.RDF_TYPE, RULES[finding.rule_id].risk_class)

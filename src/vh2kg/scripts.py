@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import MalformedStep, MissingHeader, UnknownVerb
+from .errors import MalformedStep, MissingHeader
 
 CATEGORIES = (
     "BedTimeSleep",
@@ -88,28 +88,26 @@ _STEP_RE = re.compile(r"^\[([A-Z0-9_]+)\]((?:\s*<[^<>]+>\s*\(\d+\))*)\s*$")
 _OBJ_RE = re.compile(r"<([^<>]+)>\s*\((\d+)\)")
 
 
-def normalize_verb(token: str, strict: bool = False, known: frozenset = DEFAULT_VERBS) -> str:
+def normalize_verb(token: str) -> str:
     """Map a source-form token like "SWITCHON" to its canonical verb.
 
     Tokens outside the normalization table are lower-camel-cased from their
-    underscore form; in strict mode an unknown result raises UnknownVerb.
+    underscore form.
     """
     canonical = _NORMALIZATION.get(token)
     if canonical is None:
         parts = token.lower().split("_")
         canonical = parts[0] + "".join(p.capitalize() for p in parts[1:])
-    if strict and canonical not in known:
-        raise UnknownVerb(token)
     return canonical
 
 
-def parse_script(text: str, name: str | None = None, category: str = "Other",
-                 strict: bool = False) -> ActivityScript:
+def parse_script(text: str, name: str | None = None,
+                 category: str = "Other") -> ActivityScript:
     """Parse script source into an ActivityScript.
 
     `name`/`category` override or supplement the header (scripts do not
-    encode a category).  In strict mode unknown verbs are errors; otherwise
-    they are kept and can be surfaced with validate_vocabulary().
+    encode a category).  Unknown verbs are kept and can be surfaced with
+    validate_vocabulary().
     """
     lines = text.split("\n")
     if len(lines) < 2:
@@ -127,7 +125,7 @@ def parse_script(text: str, name: str | None = None, category: str = "Other",
         m = _STEP_RE.match(line)
         if not m:
             raise MalformedStep(line_no, raw)
-        verb = normalize_verb(m.group(1), strict=strict)
+        verb = normalize_verb(m.group(1))
         objs = [ObjectRef(n, int(i)) for n, i in _OBJ_RE.findall(m.group(2))]
         if len(objs) > 2:
             raise MalformedStep(line_no, raw, "more than two objects")
@@ -153,8 +151,9 @@ def serialize_script(script: ActivityScript) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate_vocabulary(script: ActivityScript,
-                        vocab: frozenset = DEFAULT_VERBS) -> list[tuple[int, str]]:
-    """Return (step index, verb) for every step whose verb is not in vocab."""
-    return [(i, s.verb) for i, s in enumerate(script.steps) if s.verb not in vocab]
+def validate_vocabulary(script: ActivityScript) -> list[tuple[int, str]]:
+    """Return (step index, verb) for every step whose verb is not in
+    DEFAULT_VERBS."""
+    return [(i, s.verb) for i, s in enumerate(script.steps)
+            if s.verb not in DEFAULT_VERBS]
 

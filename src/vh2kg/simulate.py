@@ -3,10 +3,10 @@
 Each verb has a precondition/effect entry: ``PRECONDITIONS`` names the verbs
 that need their main object within reach and the affordance each needs,
 ``STATE_SWAPS`` the state flips, and ``execute_step`` holds the rest.
-Execution threads an immutable state (graph snapshot, posture, held objects,
-clock) through the steps and records per-step transitions with durations and
-changed-object sets.  No rendering, no physics: coordinates move in straight
-horizontal lines.
+Execution threads an immutable state (graph snapshot, held objects, room,
+facing) through the steps and records per-step transitions with durations and
+changed-object sets; the agent's posture is one of its states.  No
+rendering, no physics: coordinates move in straight horizontal lines.
 """
 
 from __future__ import annotations
@@ -89,12 +89,14 @@ class StepFailure(Exception):
 @dataclass(frozen=True)
 class SimulationState:
     graph: EnvironmentGraph
-    posture: str = "STANDING"
     held: tuple = (("LH", None), ("RH", None))  # hand -> object id
-    clock_seconds: float = 0.0
     current_room_id: int | None = None
     facing: tuple[int, int] | None = None  # set by turnTo/lookAt/find only
     cfg: SimConfig = SimConfig()
+
+    @property
+    def posture(self) -> str:
+        return _posture(self.graph.agent)
 
     @property
     def held_map(self) -> dict:
@@ -106,7 +108,6 @@ class SimulationState:
 
 @dataclass(frozen=True)
 class TransitionRecord:
-    step_index: int
     step: Step
     duration_seconds: float
     changed_object_ids: frozenset[int]
@@ -194,14 +195,19 @@ def _sweep_close(nodes: list[ObjectNode], threshold: float) -> list[tuple[int, i
     return pairs
 
 
+def _posture(agent: ObjectNode) -> str:
+    """The agent's first ``POSTURES`` token; an agent with none stands."""
+    return next((p for p in POSTURES if p in agent.states), "STANDING")
+
+
 def initial_state(env: EnvironmentGraph, cfg: SimConfig = SimConfig()) -> SimulationState:
+    """The situation before a script's first step: the agent holds exactly
+    one posture token, and the graph keeps only the ON edges."""
     agent = env.agent
-    posture = next((p for p in POSTURES if p in agent.states), "STANDING")
     env = env.with_nodes({agent.id: replace(
-        agent, states=(agent.states - set(POSTURES)) | {posture})})
+        agent, states=(agent.states - set(POSTURES)) | {_posture(agent)})})
     env = env.with_edges(e for e in env.edges if e.relation == "ON")
-    return SimulationState(graph=env, posture=posture, cfg=cfg,
-                           current_room_id=_agent_room(env, None))
+    return SimulationState(graph=env, cfg=cfg, current_room_id=_agent_room(env, None))
 
 
 def _require_close(state: SimulationState, obj: ObjectNode) -> None:
@@ -252,14 +258,13 @@ def _swap_states(node: ObjectNode, remove, add) -> dict[int, ObjectNode]:
 
 
 def execute_step(state: SimulationState, step: Step, dm: DurationModel = DurationModel(),
-                 affordance_table=None, step_index: int = 0,
-                 ) -> tuple[SimulationState, TransitionRecord]:
+                 affordance_table=None) -> tuple[SimulationState, TransitionRecord]:
     """Apply one step; raises StepFailure when a precondition fails.
 
     ``state`` comes from ``initial_state`` or an earlier step, and its
     ``cfg`` sets the distances.  Its graph keeps only the ON edges, which
-    grab and putBack edit; the step sets the agent's room, the FACING pair
-    and the clock, and ``recompute_relations`` derives the other relations
+    grab and putBack edit; the step sets the agent's room and the FACING
+    pair, and ``recompute_relations`` derives the other relations
     when they are read.  A verb's node edits are applied in one
     ``with_nodes`` call, and ``changed_object_ids`` names the edited nodes
     whose states or bbox differ from before the step."""
@@ -267,7 +272,7 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
     cfg, env = state.cfg, state.graph
     duration = dm.seconds_for(verb)
     edits = {}
-    edges, held, posture, facing = env.edges, state.held, state.posture, None
+    edges, held, facing = env.edges, state.held, None
 
     if verb in PRECONDITIONS:  # these verbs act on ``target`` below
         target = _resolve(state, step.main_object)
@@ -303,13 +308,12 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
             raise StepFailure("WrongState", f"{target.class_name} is not {frm}")
         edits = _swap_states(target, (frm,), (to,))
     elif verb in ("sit", "lie"):
-        posture = "SITTING" if verb == "sit" else "LYING"
-        edits = _swap_states(env.agent, POSTURES, (posture,))
+        edits = _swap_states(env.agent, POSTURES,
+                             ("SITTING" if verb == "sit" else "LYING",))
     elif verb == "standUp":
         if state.posture == "STANDING":
             raise StepFailure("WrongState", "agent is already standing")
-        posture = "STANDING"
-        edits = _swap_states(env.agent, POSTURES, (posture,))
+        edits = _swap_states(env.agent, POSTURES, ("STANDING",))
     elif verb == "putBack":
         main = _resolve(state, step.main_object)
         target = _resolve(state, step.target_object)
@@ -338,11 +342,9 @@ def execute_step(state: SimulationState, step: Step, dm: DurationModel = Duratio
     graph = env.with_nodes(edits) if edits else env
     if edges is not env.edges:
         graph = graph.with_edges(edges)
-    after = replace(state, graph=graph, held=held, posture=posture, facing=facing,
-                    clock_seconds=state.clock_seconds + duration,
+    after = replace(state, graph=graph, held=held, facing=facing,
                     current_room_id=_agent_room(graph, state.current_room_id))
     record = TransitionRecord(
-        step_index=step_index,
         step=step,
         duration_seconds=duration,
         changed_object_ids=changed,
@@ -367,8 +369,7 @@ def run_script(script: ActivityScript, env: EnvironmentGraph,
     situations, transitions = [start], []
 
     def run(step):
-        state, record = execute_step(situations[-1], step, dm, affordance_table,
-                                     step_index=len(transitions))
+        state, record = execute_step(situations[-1], step, dm, affordance_table)
         situations.append(state)
         transitions.append(record)
 
@@ -389,10 +390,11 @@ def run_script(script: ActivityScript, env: EnvironmentGraph,
 
 
 def check_executable(script: ActivityScript, env: EnvironmentGraph,
-                     dm: DurationModel = DurationModel(), cfg: SimConfig = SimConfig(),
                      affordance_table=None) -> ExecutabilityReport:
+    """Whether ``script`` runs strictly at the default distances, and if
+    not, the failing step and reason; durations never fail a step."""
     try:
-        run_script(script, env, dm, "strict", cfg, affordance_table)
+        run_script(script, env, affordance_table=affordance_table)
     except Unexecutable as exc:
         return exc.report
     return ExecutabilityReport(True)
@@ -406,7 +408,7 @@ def trace_to_json(trace: Trace) -> dict:
                        for s in trace.situations],
         "transitions": [
             {
-                "step_index": t.step_index,
+                "step_index": n,
                 "verb": t.step.verb,
                 "main_object": ([t.step.main_object.name, t.step.main_object.id]
                                 if t.step.main_object else None),
@@ -418,6 +420,6 @@ def trace_to_json(trace: Trace) -> dict:
                 "start_room_id": t.start_room_id,
                 "end_room_id": t.end_room_id,
             }
-            for t in trace.transitions
+            for n, t in enumerate(trace.transitions)
         ],
     }

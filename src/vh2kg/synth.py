@@ -75,11 +75,13 @@ class IriFactory:
     def agent(self) -> str:
         return EX + f"character1_{self.scene}"
 
-    def state(self, n: int, node: ObjectNode) -> str:
-        return EX + f"state{n}_{node.class_name}{node.id}_{self.local}"
+    def state(self, n: int, stem: str) -> str:
+        """The state node, in situation ``n``, of the node whose IRI stem
+        (class name and id) is ``stem``."""
+        return EX + f"state{n}_{stem}_{self.local}"
 
-    def shape(self, n: int, node: ObjectNode) -> str:
-        return EX + f"shape{n}_{node.class_name}{node.id}_{self.local}"
+    def shape(self, n: int, stem: str) -> str:
+        return EX + f"shape{n}_{stem}_{self.local}"
 
     def height(self, node: ObjectNode) -> str:
         return EX + f"height_{node.class_name}{node.id}_{self.scene}"
@@ -175,16 +177,14 @@ def _emit_activity(trace: Trace, meta: ActivityMeta,
 
     # objects, states, shapes
     changed = frozenset().union(*(tr.changed_object_ids for tr in trace.transitions))
-    local = f.local
     later = situations[1:]
     for node_id, iri, scene_triples, stem, literals, tokens in _node_table(
             env0, f, affordance_table):
         out.extend(scene_triples)
         if literals is None:  # a room has no state
             continue
-        # the IRIs of IriFactory.state and IriFactory.shape
-        prev = f"{EX}state0_{stem}_{local}"
-        add(*_state_triples(prev, f"{EX}shape0_{stem}_{local}", iri, situations[0],
+        prev = f.state(0, stem)
+        add(*_state_triples(prev, f.shape(0, stem), iri, situations[0],
                             literals, tokens))
         if node_id not in changed:
             add(*[(prev, S.PART_OF, situation) for situation in later])
@@ -194,8 +194,8 @@ def _emit_activity(trace: Trace, meta: ActivityMeta,
                 add((prev, S.PART_OF, situations[n]))
                 continue
             current = trace.situations[n].graph.node(node_id)
-            state_iri = f"{EX}state{n}_{stem}_{local}"
-            add(*_state_triples(state_iri, f"{EX}shape{n}_{stem}_{local}", iri,
+            state_iri = f.state(n, stem)
+            add(*_state_triples(state_iri, f.shape(n, stem), iri,
                                 situations[n], _bbox_literals(current),
                                 _state_tokens(current)),
                 (prev, S.NEXT_STATE, state_iri),

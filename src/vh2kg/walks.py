@@ -125,6 +125,18 @@ def activity_roots(doc: KgDocument) -> list[str]:
     return sorted(set(doc.index().subjects(S.HAS_EVENT)))
 
 
+def root_rows(doc: KgDocument, tokens) -> tuple[list[str], list[int]]:
+    """The activity roots of ``doc`` that ``tokens`` holds, in
+    ``activity_roots`` order, and the position of each in ``tokens``.
+
+    The pipeline and ``cluster --roots`` both cluster these rows, and
+    k-means++ seeds by row, so they must come in one order whatever order
+    ``tokens`` (a vocabulary sorted by count) has."""
+    position = {t: i for i, t in enumerate(tokens)}
+    roots = [r for r in activity_roots(doc) if r in position]
+    return roots, [position[r] for r in roots]
+
+
 def _root_rng(seed: int, root: str) -> random.Random:
     digest = hashlib.md5(f"{seed}:{root}".encode()).hexdigest()
     return random.Random(int(digest[:16], 16))

@@ -75,7 +75,7 @@ def test_build_detect_evaluate_chain(capsys, tmp_path):
     doc = parse_ntriples(graph.read_text())
     _, risk_doc = detect_risks(doc)
     assert augmented.read_text() == serialize_ntriples(
-        KgDocument(doc.prefixes, doc.triples | risk_doc.triples))
+        KgDocument(triples=doc.triples | risk_doc.triples))
 
     gt = tmp_path / "gt.csv"
     gt.write_text("event_iri,risk_type\n"
@@ -333,6 +333,30 @@ def test_cluster_roots_keeps_only_activities(capsys, tmp_path):
     assert code == 0
     tokens = sorted(line.split(",")[0] for line in out.splitlines())
     assert tokens == [EX + "carry_box0_scene1", EX + "read_book0_scene1"]
+
+
+def test_cluster_roots_matches_the_pipelines_clusters(capsys, tmp_path):
+    """Exhaustive walks give the activities different token counts, so
+    vectors.tsv, sorted by count, lists them out of ``activity_roots``
+    order; k-means++ seeds by row, so ``cluster --roots`` must take the
+    pipeline's rows in the pipeline's order to write its clusters.csv."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"walk": {"exhaustive": True, "depth": 2},
+                                  "skipgram": {"epochs": 1}}))
+    out = tmp_path / "out"
+    code, _ = run(capsys, "pipeline", "--scripts", str(fixture_path("scripts")),
+                  "--environment", ENV, "--affordances", AFF, "--ground-truth", GT,
+                  "--config", str(config), "-o", str(out), "--seed", "7")
+    assert code == 0
+    clusters = (out / "clusters.csv").read_text(encoding="utf-8")
+    roots = [line.split(",")[0] for line in clusters.splitlines()]
+    tokens = parse_vectors((out / "vectors.tsv").read_text(encoding="utf-8"))[0]
+    in_vector_order = [t for t in tokens if t in roots]
+    assert len(roots) == 20 and in_vector_order != roots  # the two orders differ
+    code, text = run(capsys, "cluster", str(out / "vectors.tsv"), "-k", "10",
+                     "--seed", "7", "--roots", str(out / "corpus.nt"))
+    assert code == 0
+    assert text == clusters
 
 
 def test_cluster_reads_tokens_with_separators(capsys, tmp_path):

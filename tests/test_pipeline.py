@@ -157,7 +157,7 @@ def test_one_format_writes_only_its_files(tmp_path, base_runs, base_doc,
         expected[name] = render(build_activity_kg(trace, meta, affordance_table))
     _, risk_doc = detect_risks(base_doc)
     expected["corpus_with_risks.nt"] = serialize_ntriples(
-        KgDocument(base_doc.prefixes, base_doc.triples | risk_doc.triples))
+        KgDocument(triples=base_doc.triples | risk_doc.triples))
     written = {p.name: p.read_bytes().decode("utf-8") for p in tmp_path.iterdir()
                if p.suffix in (".nt", ".ttl")}
     assert written == expected

@@ -168,18 +168,18 @@ def _qname(iri, prefixes):
 
 def reference_turtle(doc):
     """Turtle with _qname called afresh for every term."""
-    out = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in doc.prefixes.items()]
+    out = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in PREFIXES.items()]
     out.append("")
     for t in oracle_sorted(doc):
-        p = "a" if t.predicate == RDF + "type" else _qname(t.predicate, doc.prefixes)
+        p = "a" if t.predicate == RDF + "type" else _qname(t.predicate, PREFIXES)
         o = t.object
         if isinstance(o, str):
-            o = _qname(o, doc.prefixes)
+            o = _qname(o, PREFIXES)
         elif o.datatype == XSD_STRING:
             o = f'"{_escape(o.lexical)}"'
         else:
-            o = f'"{_escape(o.lexical)}"^^{_qname(o.datatype, doc.prefixes)}'
-        out.append(f"{_qname(t.subject, doc.prefixes)} {p} {o} .")
+            o = f'"{_escape(o.lexical)}"^^{_qname(o.datatype, PREFIXES)}'
+        out.append(f"{_qname(t.subject, PREFIXES)} {p} {o} .")
     return "\n".join(out) + "\n"
 
 
@@ -358,7 +358,7 @@ def test_one_index_per_document(base_doc, ground_truth, monkeypatch):
         init(self, doc)
 
     monkeypatch.setattr(rdf.KgIndex, "__init__", counting)
-    doc = KgDocument(dict(base_doc.prefixes), set(base_doc.triples))
+    doc = KgDocument(triples=set(base_doc.triples))
     findings, _ = detect_risks(doc)
     analysis_report(doc)
     evaluate_findings(findings, ground_truth, doc)
@@ -453,7 +453,7 @@ def test_canonical_order_sorts_mixed_objects_by_key():
 def test_augmented_inserts_into_the_cached_order(rows, extra_rows):
     # extra_rows overlap rows often, so some "new" triples are already in doc
     doc, extra = term_doc(rows), term_doc(extra_rows)
-    union = KgDocument(doc.prefixes, doc.triples | extra.triples)
+    union = KgDocument(triples=doc.triples | extra.triples)
     lines = rdf.ntriples_lines(doc.sorted_triples())
     written = rdf._text(rdf.augmented_lines(doc, lines, extra))
     assert written == serialize_ntriples(union) == oracle_ntriples(union)
@@ -462,10 +462,9 @@ def test_augmented_inserts_into_the_cached_order(rows, extra_rows):
 
 
 def test_augmented_corpus_sorts_once(base_doc, monkeypatch):
-    doc = KgDocument(dict(base_doc.prefixes), base_doc.triples.copy())
+    doc = KgDocument(triples=base_doc.triples.copy())
     _, risk_doc = detect_risks(doc)
-    expected = serialize_ntriples(KgDocument(doc.prefixes,
-                                             doc.triples | risk_doc.triples))
+    expected = serialize_ntriples(KgDocument(triples=doc.triples | risk_doc.triples))
     lines = rdf.ntriples_lines(doc.sorted_triples())
     sorts = []
     real = rdf._canonical_order
@@ -510,8 +509,8 @@ def test_parts_select_their_lines_from_the_whole(tmp_path_factory, rows, masks,
              for mask in masks]  # overlapping subsets of the whole
     order = whole.sorted_triples()
     nt = rdf.ntriples_lines(order)
-    ttl = rdf.turtle_lines(order, whole.prefixes)
-    header = rdf.turtle_header(whole.prefixes)
+    ttl = rdf.turtle_lines(order)
+    header = rdf.turtle_header()
     path = tmp_path_factory.getbasetemp() / "selected"
 
     def written(lines, header=()):
@@ -526,7 +525,7 @@ def test_parts_select_their_lines_from_the_whole(tmp_path_factory, rows, masks,
                 == oracle_ntriples(part)
             assert written(map(ttl.__getitem__, at), header) == serialize_turtle(part) \
                 == reference_turtle(part)
-        union = KgDocument(whole.prefixes, whole.triples | extra.triples)
+        union = KgDocument(triples=whole.triples | extra.triples)
         assert written(rdf.augmented_lines(whole, nt, extra)) \
             == serialize_ntriples(union) == oracle_ntriples(union)
         assert written(nt) == serialize_ntriples(whole)  # nt left alone
@@ -590,7 +589,7 @@ def test_order_contract_parse_follows_canonical_order(base_doc):
 
 
 def test_order_contract_detect_risks_leaves_its_input_alone(base_doc):
-    doc = KgDocument(dict(base_doc.prefixes), base_doc.triples.copy())
+    doc = KgDocument(triples=base_doc.triples.copy())
     size, idx, order = len(doc.triples), doc.index(), doc.sorted_triples()
     stats = graph_stats(doc)
     detect_risks(doc)
@@ -608,5 +607,3 @@ def test_order_contract_risk_doc_holds_the_finding_triples(base_doc):
                      (f.event_iri, RDF + "type", RULES[f.rule_id].risk_class),
                      (f.event_iri, RDF + "type", S.RISK_EVENT)]
     assert list(risk_doc.triples) == list(dict.fromkeys(expected))
-    assert risk_doc.prefixes == base_doc.prefixes
-    assert risk_doc.prefixes is not base_doc.prefixes

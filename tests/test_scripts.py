@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from vh2kg.errors import MalformedStep, MissingHeader, UnknownVerb
+from vh2kg.errors import MalformedStep, MissingHeader
 from vh2kg.scripts import (DEFAULT_VERBS, ActivityScript, ObjectRef, Step,
                            normalize_verb, parse_script, serialize_script,
                            validate_vocabulary)
@@ -46,11 +46,9 @@ def test_every_vocabulary_verb_normalizes_from_upper_case():
         assert normalize_verb(verb.upper()) == verb
 
 
-def test_unknown_verb_strict():
-    with pytest.raises(UnknownVerb):
-        normalize_verb("TELEPORT", strict=True)
-    # non-strict lower-camel-cases it
+def test_unknown_verb_is_lower_camel_cased():
     assert normalize_verb("TELEPORT") == "teleport"
+    assert normalize_verb("PUT_ON_TOP") == "putOnTop"
 
 
 @pytest.mark.parametrize("bad", [

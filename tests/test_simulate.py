@@ -539,7 +539,7 @@ def restart_repair(script, env, affordance_table):
         for idx, step in enumerate(current.steps):
             try:
                 state, record = execute_step(situations[-1], step, DurationModel(),
-                                             affordance_table, step_index=idx)
+                                             affordance_table)
             except StepFailure as exc:
                 failure = (idx, step, exc)
                 break

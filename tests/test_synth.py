@@ -12,7 +12,7 @@ from vh2kg import synth
 from vh2kg.errors import InvalidName, InvalidTrace
 from vh2kg.fixtures import fixture_path
 from vh2kg.home import PROPERTY_VERBS, BoundingBox, afforded_verbs, load_environment
-from vh2kg.rdf import KgDocument, KgIndex, Literal, Triple, decimal, integer, string
+from vh2kg.rdf import EX, KgDocument, KgIndex, Literal, Triple, decimal, integer, string
 from vh2kg.scripts import parse_script
 from vh2kg.simulate import SimulationState, Trace, run_script
 from vh2kg.synth import IriFactory, state_indices
@@ -409,7 +409,8 @@ def reference_emit(trace, meta, affordance_table):
                 add((prev_state_iri, S.PART_OF, situations[n]))
                 continue
             current = trace.situations[n].graph.node(node.id)
-            state_iri, shape_iri = f.state(n, node), f.shape(n, node)
+            state_iri = EX + f"state{n}_{node.class_name}{node.id}_{f.local}"
+            shape_iri = EX + f"shape{n}_{node.class_name}{node.id}_{f.local}"
             c0, c1, c2 = (shape_iri + f"_center_cell{i}" for i in range(3))
             s0, s1, s2 = (shape_iri + f"_size_cell{i}" for i in range(3))
             cx, cy, cz = current.bbox.center

@@ -148,7 +148,7 @@ def test_synth_errors_restore_gc_and_leave_doc(base_runs, affordance_table,
                                      meta, affordance_table))
     assert gc.isenabled()
 
-    def broken(value, places=9):
+    def broken(value):
         raise ValueError("no decimals today")
 
     monkeypatch.setattr(synth, "decimal", broken)
@@ -217,7 +217,6 @@ def test_decimal_zero_keeps_its_sign():
 
 
 @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                 st.integers(-10**6, 10**6)),
-       st.integers(0, 12))
-def test_decimal_matches_uncached_form(value, places):
-    assert decimal(value, places) == rdf._fixed_point(value, places)
+                 st.integers(-10**6, 10**6)))
+def test_decimal_matches_uncached_form(value):
+    assert decimal(value) == rdf._fixed_point(value)
